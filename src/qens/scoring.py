@@ -130,7 +130,8 @@ def relative_wis(table: ScoreTable, baseline: str,
         for m2 in models:
             if m2 not in connected:
                 continue
-            shared = table[m].keys() & table[m2].keys()
+            # sorted, so that the sums below do not follow the hash seed
+            shared = sorted(table[m].keys() & table[m2].keys())
             if not shared:
                 continue
             num_vals = [v for u in shared for v in table[m][u]]

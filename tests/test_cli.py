@@ -2,11 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qens
 from qens.cli import main
+
+SRC = Path(qens.__file__).resolve().parents[1]
 
 
 def run_cli(*args) -> int:
@@ -115,6 +121,27 @@ class TestBacktest:
         with open(report / "wis_diff.csv") as fh:
             rows = [r for r in csv.DictReader(fh) if r["spec_id"] == "ens_eq"]
         assert rows and all(float(r["mean_wis_diff"]) == 0.0 for r in rows)
+
+    def test_bundle_independent_of_hash_seed(self, sim_dir, tmp_path):
+        # string hashing orders sets differently under each seed; the bundle
+        # must not depend on it
+        for seed in ("1", "2"):
+            config = tmp_path / f"run{seed}.json"
+            config.write_text(json.dumps({
+                "forecast_dir": str(sim_dir / "forecasts.csv"),
+                "truth_dir": str(sim_dir / "truth"),
+                "output_dir": str(tmp_path / f"report{seed}"),
+                "specs": [{"name": "ens_eq"}],
+            }))
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+            subprocess.run([sys.executable, "-m", "qens.cli", "backtest",
+                            "--config", str(config)], env=env, check=True,
+                           capture_output=True)
+        names = sorted(p.name for p in (tmp_path / "report1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "report2").iterdir())
+        for name in names:
+            assert ((tmp_path / "report1" / name).read_bytes()
+                    == (tmp_path / "report2" / name).read_bytes()), name
 
 
 class TestExitCodes:
