@@ -4,14 +4,14 @@ from .analysis import (AnomalyRecord, PeakRecord, components_to_cumulative_weigh
                        detect_peaks, detect_revisions, lag1_autocorrelation,
                        pi_width_rank, revision_exclusion_set)
 from .baseline import baseline_forecast
-from .combine import WeightVector, combine, combine_values, effective_weights
+from .combine import WeightVector, combine, combine_values
 from .density import DensityApprox, density_from_quantiles, neg_log_score
 from .errors import (ConfigError, DataError, DuplicateCellError, ParseError,
                      QensError, ValidationError)
 from .forecast import (ForecastKey, QuantileForecast, QuantileLevelSet,
                        SubmissionSet, TruthStore, eligible_components,
                        load_forecasts, load_truth_dir, save_forecasts,
-                       save_truth_dir, truth_as_of, weekly_increments)
+                       save_truth_dir, weekly_increments)
 from .reporting import RunConfig, run
 from .scoring import (RelWisTable, ScoreRecord, coverage_rates, relative_wis,
                       score_table, standardized_rank, wis, wis_terms)

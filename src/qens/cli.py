@@ -12,10 +12,10 @@ import click
 from .analysis import (detect_peaks, detect_revisions, save_anomalies,
                        save_peaks)
 from .errors import ConfigError, DataError, QensError
-from .forecast import (QuantileLevelSet, SubmissionSet, load_forecasts,
-                       load_truth_dir, save_forecasts, save_truth_dir)
+from .forecast import (QuantileLevelSet, SubmissionSet, load_truth_dir,
+                       save_forecasts, save_truth_dir)
 from .reporting import (RunConfig, add_baseline, load_forecast_dir, run,
-                        score_submissions)
+                        save_coverage, save_weight_log, score_submissions)
 from .scoring import relative_wis, save_rel_wis, save_scores, score_table
 from .simulate import SimSpec, simulate
 from .training import EnsembleSpec, train_and_forecast
@@ -95,7 +95,7 @@ def ensemble(forecasts, truth_dir, config, out, weights_out, baseline):
         raise ConfigError(f"config file not found: {config}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
-    subs = _load_forecast_input(forecasts)
+    subs = load_forecast_dir(forecasts)
     truth = load_truth_dir(truth_dir)
     levels = _common_levels(subs)
     dates = subs.forecast_dates()
@@ -105,8 +105,7 @@ def ensemble(forecasts, truth_dir, config, out, weights_out, baseline):
                                    baseline_model=baseline)
     save_forecasts(ens, out)
     if weights_out is not None:
-        from .reporting import _write_weight_log
-        _write_weight_log(wlog, Path(weights_out))
+        save_weight_log(wlog, Path(weights_out))
     click.echo(f"wrote {len(ens)} ensemble forecasts to {out}")
 
 
@@ -118,7 +117,7 @@ def ensemble(forecasts, truth_dir, config, out, weights_out, baseline):
               help="Output CSV of per-forecast interval scores.")
 def score(forecasts, truth_dir, out):
     """Score every forecast against final truth."""
-    subs = _load_forecast_input(forecasts)
+    subs = load_forecast_dir(forecasts)
     truth = load_truth_dir(truth_dir)
     records = score_submissions(subs, truth)
     if not records:
@@ -137,7 +136,7 @@ def score(forecasts, truth_dir, out):
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 def relwis(forecasts, truth_dir, baseline, aggregation, out):
     """Pairwise relative skill of every model against a baseline."""
-    subs = _load_forecast_input(forecasts)
+    subs = load_forecast_dir(forecasts)
     truth = load_truth_dir(truth_dir)
     records = score_submissions(subs, truth)
     if not records:
@@ -154,10 +153,9 @@ def relwis(forecasts, truth_dir, baseline, aggregation, out):
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 def coverage(forecasts, truth_dir, out):
     """Empirical one-sided quantile coverage per model and level."""
-    from .reporting import _write_coverage
-    subs = _load_forecast_input(forecasts)
+    subs = load_forecast_dir(forecasts)
     truth = load_truth_dir(truth_dir)
-    _write_coverage(subs, truth, Path(out))
+    save_coverage(subs, truth, Path(out))
     click.echo(f"wrote coverage table to {out}")
 
 
@@ -217,15 +215,6 @@ def backtest(config):
 
 
 cli.add_command(backtest, name="report")
-
-
-def _load_forecast_input(path: Path) -> SubmissionSet:
-    path = Path(path)
-    if path.is_dir():
-        return load_forecast_dir(path)
-    subs = SubmissionSet()
-    subs.merge(load_forecasts(path))
-    return subs
 
 
 def _common_levels(subs: SubmissionSet) -> QuantileLevelSet:

@@ -50,90 +50,64 @@ class WeightVector:
         return cls({m: w for m in models}, stratum=stratum)
 
 
-# Per-model quantile values at one (location, date, target, level) cell;
-# availability is encoded by key presence.
-ComponentSlice = Mapping[str, float]
-
-
-def effective_weights(w: WeightVector, availability: Iterable[str]) -> WeightVector:
-    """Zero out missing components and renormalize the rest."""
-    avail = set(availability)
-    kept = {m: wt for m, wt in w.weights.items() if m in avail}
-    total = sum(kept.values())
-    if total <= 0:
-        raise DataError("no weight mass on available components")
-    scaled = {m: wt / total for m, wt in kept.items()}
-    scaled.update({m: 0.0 for m in w.weights if m not in avail})
-    return WeightVector(scaled, stratum=w.stratum)
-
-
-def _median_column(values: np.ndarray, weights: np.ndarray,
-                   interpolate: bool) -> float:
-    """Weighted median of one level's values; inputs sorted by (value, model)."""
-    cum = np.cumsum(weights)
-    if not interpolate:
-        idx = int(np.searchsorted(cum, 0.5))
-        return float(values[min(idx, len(values) - 1)])
-    positions = cum - weights / 2.0
-    if 0.5 <= positions[0]:
-        return float(values[0])
-    if 0.5 >= positions[-1]:
-        return float(values[-1])
-    return float(np.interp(0.5, positions, values))
-
-
 def combine_values(values: np.ndarray, weights: np.ndarray, method: str,
                    interpolate: bool = True) -> np.ndarray:
-    """Per-level combination of a component matrix.
+    """Combine the components present in one cell, all levels at once.
 
-    `values` has one row per component (rows ordered by model id) and one
-    column per quantile level; `weights` aligns with the rows and must already
-    be effective (nonnegative, summing to 1). This kernel is shared by forecast
-    emission and training-objective evaluation so the two agree bit for bit.
+    `values` has one row per present component (rows ordered by model id)
+    and one column per quantile level. `weights` holds their raw nonnegative
+    weights, one per row (M,) or one per row and level (M, K); each level's
+    weights are renormalized over the rows. Returns the combined levels
+    before flooring and monotonization. This is the one kernel behind
+    `combine`, the training objective and forecast emission, so the three
+    agree bit for bit.
+
+    The median gives each positive-weight value, sorted stably (model-id
+    order on ties), the midpoint mass position P_m = sum_{j<m} w_j + w_m / 2
+    and interpolates the bracketing (P, value) pairs at mass 0.5, clamped at
+    the extremes, exactly as `np.interp` does. With interpolate=False it
+    returns the smallest value whose cumulative weight reaches 0.5.
     """
-    if method == "mean":
-        return weights @ values
-    if method != "median":
+    if method not in ("mean", "median"):
         raise DataError(f"unknown combination method {method!r}")
-    mask = weights > 0.0
-    vals = values[mask]
-    wts = weights[mask]
-    if vals.shape[0] == 0:
-        raise DataError("weighted median with no positive-weight components")
-    # Stable sort per column keeps model-id order on value ties because rows
-    # are already ordered by model id.
-    order = np.argsort(vals, axis=0, kind="stable")
-    out = np.empty(values.shape[1])
-    for k in range(values.shape[1]):
-        idx = order[:, k]
-        out[k] = _median_column(vals[idx, k], wts[idx], interpolate)
-    return out
+    values = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if w.ndim == 1:
+        w = w[:, None]
+    if len(w) == 0:
+        raise DataError("no components to combine")
+    # cumsum adds sequentially; np.sum switches to pairwise summation, which
+    # would move the median's mass positions by an ulp
+    total = w.cumsum(axis=0)[-1]
+    if not (total > 0.0).all():
+        raise DataError("no weight mass on available components")
+    w = w / total
+    if method == "mean":
+        return (w * values).sum(axis=0)
 
-
-def weighted_mean_quantile(slice_: ComponentSlice, w: WeightVector) -> float:
-    """Dot product of weights and component values (weights already effective)."""
-    models = sorted(slice_)
-    values = np.array([[slice_[m]] for m in models])
-    weights = np.array([w[m] for m in models])
-    return float(combine_values(values, weights, "mean")[0])
-
-
-def weighted_median_quantile(slice_: ComponentSlice, w: WeightVector,
-                             interpolate: bool = True) -> float:
-    """Weighted median of component values with midpoint interpolation.
-
-    Values are sorted (stable by model id on ties) and assigned midpoint mass
-    positions P_m = sum_{j<m} w_j + w_m / 2; the result interpolates the
-    bracketing (value, P) pairs at mass 0.5, clamping at the extremes. With
-    interpolate=False, returns the smallest value whose cumulative weight
-    reaches 0.5 (the limiting non-interpolated definition).
-    """
-    if not slice_:
-        raise DataError("weighted median of an empty slice")
-    models = sorted(slice_)
-    values = np.array([[slice_[m]] for m in models])
-    weights = np.array([w[m] for m in models])
-    return float(combine_values(values, weights, "median", interpolate)[0])
+    # Zero-weight entries sort last (as NaN), after the n positive ones.
+    w = np.broadcast_to(w, values.shape)
+    positive = w > 0.0
+    n = positive.sum(axis=0)
+    order = np.where(positive, values, np.nan).argsort(axis=0, kind="stable")
+    cols = np.arange(values.shape[1])
+    vals, wts = values[order, cols], w[order, cols]
+    cum = wts.cumsum(axis=0)
+    last = n - 1
+    if not interpolate:
+        return vals[np.minimum((cum < 0.5).sum(axis=0), last), cols]
+    pos = cum - wts / 2.0
+    # j: the last positive entry's position at or below 0.5; the clamps
+    # below replace the levels where 0.5 lies outside the positions
+    j = ((pos <= 0.5) & (np.arange(len(w))[:, None] < n)).sum(axis=0) - 1
+    j = np.maximum(j, 0)
+    j1 = np.minimum(j + 1, last)
+    v0, v1, p0, p1 = vals[j, cols], vals[j1, cols], pos[j, cols], pos[j1, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = (v1 - v0) / (p1 - p0) * (0.5 - p0) + v0
+    inner = np.where(p0 == 0.5, v0, inner)
+    inner = np.where(0.5 >= pos[last, cols], vals[last, cols], inner)
+    return np.where(0.5 <= pos[0], vals[0], inner)
 
 
 def combine(forecasts: Mapping[str, QuantileForecast], w: WeightVector,
@@ -146,8 +120,6 @@ def combine(forecasts: Mapping[str, QuantileForecast], w: WeightVector,
     """
     if not forecasts:
         raise DataError("cannot combine an empty component set")
-    if method not in ("mean", "median"):
-        raise DataError(f"unknown combination method {method!r}")
     items = [(m, f) for m, f in sorted(forecasts.items()) if m in w.weights]
     if not items:
         raise DataError("no component carries weight")
@@ -158,12 +130,10 @@ def combine(forecasts: Mapping[str, QuantileForecast], w: WeightVector,
         if (f.key.location, f.key.forecast_date, f.key.target_end_date) != (
                 first.key.location, first.key.forecast_date, first.key.target_end_date):
             raise DataError("component forecast keys do not match")
-    w_eff = effective_weights(w, (m for m, _ in items))
     values = np.array([f.values for _, f in items])
-    weights = np.array([w_eff[m] for m, _ in items])
-    combined = combine_values(values, weights, method, interpolate=interpolate)
-    out = np.maximum(combined, 0.0)
-    out = np.maximum.accumulate(out)
+    weights = np.array([w[m] for m, _ in items])
+    out = combine_values(values, weights, method, interpolate=interpolate)
+    out = np.maximum.accumulate(np.maximum(out, 0.0))
     key = ForecastKey(model_id, first.key.location, first.key.forecast_date,
                       first.key.target_end_date)
     return QuantileForecast(key, first.levels, tuple(float(v) for v in out))

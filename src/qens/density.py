@@ -11,19 +11,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.integrate import quad
-from scipy.stats import cauchy, norm
 
 from .errors import DataError, ValidationError
 from .forecast import QuantileForecast
 
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
+
+# Tail family name -> scipy.stats distribution, looked up when first used so
+# that importing qens does not import scipy.stats (about a second).
 TAIL_FAMILIES = {
-    "normal": norm,
-    "cauchy": cauchy,
+    "normal": "norm",
+    "cauchy": "cauchy",
 }
+
+
+def _tail_dist(family: str):
+    import scipy.stats
+    return getattr(scipy.stats, TAIL_FAMILIES[family])
 
 
 @dataclass(frozen=True)
@@ -40,11 +48,11 @@ class TailFit:
             raise ValidationError("tail scale must be positive")
 
     def pdf(self, y: float) -> float:
-        dist = TAIL_FAMILIES[self.family]
+        dist = _tail_dist(self.family)
         return float(dist.pdf((y - self.a) / self.b) / self.b)
 
     def cdf(self, y: float) -> float:
-        dist = TAIL_FAMILIES[self.family]
+        dist = _tail_dist(self.family)
         return float(dist.cdf((y - self.a) / self.b))
 
 
@@ -79,6 +87,7 @@ class DensityApprox:
         """Numerically integrated total probability (tails enter exactly)."""
         # Integrate knot to knot: the spline derivative is smooth inside each
         # segment but kinked at the knots, which defeats a single quad call.
+        from scipy.integrate import quad
         interior = 0.0
         for lo, hi in zip(self.values, self.values[1:]):
             piece, _ = quad(self.pdf, lo, hi, limit=100, epsabs=tol)
@@ -89,7 +98,7 @@ class DensityApprox:
 def fit_tail(levels: tuple[float, float], values: tuple[float, float],
              side: str, family: str) -> TailFit:
     """Fit location a and scale b of the tail family through two quantiles."""
-    dist = TAIL_FAMILIES[family]
+    dist = _tail_dist(family)
     zi, zj = dist.ppf(levels[0]), dist.ppf(levels[1])
     b = (values[0] - values[1]) / (zi - zj)
     a = values[0] - b * zi
@@ -112,6 +121,7 @@ def density_from_quantiles(q: QuantileForecast, tail_family: str = "normal") -> 
     if any(lo >= hi for lo, hi in zip(vals, vals[1:])):
         raise DataError(f"{q.key}: duplicate quantile values; density is degenerate")
 
+    from scipy.interpolate import PchipInterpolator
     interior = PchipInterpolator(np.asarray(vals), np.asarray(taus))
     lower = fit_tail((taus[0], taus[1]), (vals[0], vals[1]), "lower", tail_family)
     upper = fit_tail((taus[-2], taus[-1]), (vals[-2], vals[-1]), "upper", tail_family)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -158,11 +159,6 @@ class TruthStore:
         if not self._snapshots:
             return {}
         return self._snapshots[max(self._snapshots)]
-
-
-def truth_as_of(store: TruthStore, as_of: dt.date, location: str) -> list[tuple[dt.date, float]]:
-    """Vintage-correct truth series for one location."""
-    return store.as_of(as_of, location)
 
 
 def weekly_increments(series: Iterable[tuple[dt.date, float]]) -> list[tuple[dt.date, float]]:
@@ -350,8 +346,17 @@ def load_truth_dir(path: str | Path) -> TruthStore:
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
+                if len(row) != len(TRUTH_CSV_HEADER):
+                    raise ParseError(f"expected {len(TRUTH_CSV_HEADER)} fields, "
+                                     f"got {len(row)} in {fp}", lineno)
                 loc, tdate, value = row
-                snap[(loc, _parse_date(tdate, lineno))] = float(value)
+                try:
+                    y = float(value)
+                except ValueError:
+                    raise ParseError(f"bad value {value!r} in {fp}", lineno) from None
+                if not math.isfinite(y):
+                    raise ParseError(f"non-finite value {value!r} in {fp}", lineno)
+                snap[(loc, _parse_date(tdate, lineno))] = y
         snapshots[as_of] = snap
     if not snapshots:
         raise DataError(f"no truth snapshots in {path}")

@@ -22,7 +22,7 @@ from .combine import WeightVector
 from .errors import ConfigError, DataError
 from .forecast import (HORIZONS, WEEK, QuantileForecast, QuantileLevelSet,
                        SubmissionSet, TruthStore, load_forecasts,
-                       load_truth_dir, save_forecasts, truth_as_of)
+                       load_truth_dir, save_forecasts)
 from .scoring import (ScoreRecord, coverage_rates, relative_wis, save_rel_wis,
                       score_table, wis)
 from .training import EnsembleSpec, train_and_forecast
@@ -111,11 +111,9 @@ def load_forecast_dir(path: Path, levels: QuantileLevelSet | None = None) -> Sub
     """Load and merge forecast CSVs from a directory (or one CSV file)."""
     path = Path(path)
     if path.is_file():
-        subs = SubmissionSet()
-        subs.merge(load_forecasts(path, levels))
-        return subs
+        return load_forecasts(path, levels)
     if not path.is_dir():
-        raise DataError(f"forecast directory not found: {path}")
+        raise DataError(f"forecast file or directory not found: {path}")
     files = sorted(path.glob("*.csv"))
     if not files:
         raise DataError(f"no forecast CSVs in {path}")
@@ -132,7 +130,7 @@ def add_baseline(subs: SubmissionSet, truth: TruthStore, dates: Sequence[dt.date
     locations = subs.locations()
     for s in sorted(dates):
         for loc in locations:
-            history = truth_as_of(truth, s, loc)
+            history = truth.as_of(s, loc)
             if len(history) < 2:
                 continue
             if history[-1][0] != s:
@@ -211,8 +209,8 @@ def run(config: RunConfig) -> Path:
     _write_scores(records, config, out / "scores.csv")
     rel = relative_wis(score_table(records), config.baseline_model)
     save_rel_wis(rel, out / "rwis.csv")
-    _write_coverage(scored, truth, out / "coverage.csv")
-    _write_weight_log(weight_rows, out / "weights.csv")
+    save_coverage(scored, truth, out / "coverage.csv")
+    save_weight_log(weight_rows, out / "weights.csv")
     reference = config.reference_spec or _default_reference(config.specs)
     _write_wis_differences(records, reference, config, out / "wis_diff.csv")
     peaks = _write_peaks(truth, scored, config, out)
@@ -240,7 +238,8 @@ def _write_scores(records: Sequence[ScoreRecord], config: RunConfig,
                              repr(rec.wis), phase_of(config, k.forecast_date)])
 
 
-def _write_coverage(subs: SubmissionSet, truth: TruthStore, path: Path) -> None:
+def save_coverage(subs: SubmissionSet, truth: TruthStore, path: Path) -> None:
+    """Coverage export: model,level,coverage against final truth."""
     final = truth.latest()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -265,7 +264,8 @@ def _write_coverage(subs: SubmissionSet, truth: TruthStore, path: Path) -> None:
                 writer.writerow([m, f"{tau:g}", repr(rates[tau])])
 
 
-def _write_weight_log(rows: Sequence[dict], path: Path) -> None:
+def save_weight_log(rows: Sequence[dict], path: Path) -> None:
+    """Weight log export: one row per (spec, date, stratum, model)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEIGHT_LOG_HEADER)

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 from .forecast import ForecastKey, QuantileForecast
@@ -164,6 +163,7 @@ def standardized_rank(values: Mapping[str, float]) -> dict[str, float]:
     models = sorted(values)
     if len(models) == 1:
         return {models[0]: 0.5}
+    from scipy.stats import rankdata  # deferred: scipy.stats is slow to import
     ordinals = rankdata([values[m] for m in models], method="average")
     scale = len(models) - 1
     return {m: float((o - 1.0) / scale) for m, o in zip(models, ordinals)}

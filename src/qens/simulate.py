@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .analysis import AnomalyRecord
 from .errors import ConfigError
@@ -153,6 +152,8 @@ def _wave_intensity(week: np.ndarray, waves: Sequence[Wave]) -> np.ndarray:
 
 def simulate(spec: SimSpec) -> tuple[SubmissionSet, TruthStore, list[AnomalyRecord]]:
     """Generate component forecasts, vintage truth snapshots, and anomalies."""
+    from scipy.stats import norm  # deferred: scipy.stats is slow to import
+
     rng = np.random.default_rng(spec.seed)
     weeks = np.arange(spec.n_weeks, dtype=float)
     dates = [spec.start + i * WEEK for i in range(spec.n_weeks)]

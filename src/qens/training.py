@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combine import WeightVector, combine_values, effective_weights
+from .combine import WeightVector, combine_values
 from .errors import ConfigError, DataError
 from .forecast import (HORIZONS, WEEK, ForecastKey, QuantileForecast,
                        QuantileLevelSet, SubmissionSet, TruthStore,
@@ -205,32 +205,23 @@ def select_top_k(rwis: Mapping[str, float], k: int) -> list[str]:
     return sorted(ranked[:k])
 
 
-def _aligned_arrays(rec: WindowRecord, w: WeightVector) -> tuple[np.ndarray, np.ndarray] | None:
-    """Effective weights and value matrix for one record, or None if no mass."""
-    support = sorted(m for m in rec.values if m in w.weights)
-    if not support or sum(w[m] for m in support) <= 0.0:
-        return None
-    w_eff = effective_weights(w, support)
-    values = np.array([rec.values[m] for m in support])
-    weights = np.array([w_eff[m] for m in support])
-    return values, weights
-
-
 def window_objective(records: Sequence[WindowRecord], w: WeightVector,
                      combiner: str, levels: QuantileLevelSet,
                      level_index: int | None = None) -> float:
     """Summed ensemble WIS over the window (one level's terms when indexed).
 
-    Mirrors forecast emission exactly: per-record missingness renormalization,
-    the shared combination kernel, zero flooring, and level monotonization.
+    Mirrors forecast emission exactly: the same kernel call on the record's
+    components, zero flooring and level monotonization. Records with no
+    weight on their components are skipped.
     """
     total = 0.0
     for rec in records:
-        aligned = _aligned_arrays(rec, w)
-        if aligned is None:
+        models = sorted(rec.values)
+        weights = np.array([w.weights.get(m, 0.0) for m in models])
+        if not weights.any():
             continue
-        values, weights = aligned
-        q = combine_values(values, weights, combiner)
+        q = combine_values(np.array([rec.values[m] for m in models]), weights,
+                           combiner)
         q = np.maximum.accumulate(np.maximum(q, 0.0))
         terms = wis_terms(levels.levels, q, rec.y)
         total += float(terms.mean() if level_index is None else terms[level_index])
@@ -487,22 +478,17 @@ def _emit_cell(subs: SubmissionSet, spec: EnsembleSpec, levels: QuantileLevelSet
                by_stratum: Mapping[str, tuple[WeightVector, float | None]],
                avail: Sequence[str], loc: str, s: dt.date, t: dt.date,
                h: int) -> QuantileForecast | None:
-    components = {m: subs.get(m, loc, s, t) for m in avail}
-    values_by_level = []
-    for k in range(levels.K):
-        if spec.sharing == "per_horizon":
-            w, _ = by_stratum[f"h{h}"]
-        elif spec.sharing == "per_quantile":
-            w, _ = by_stratum[f"q{levels.levels[k]:g}"]
-        else:
-            w, _ = by_stratum[""]
-        support = sorted(m for m in components if m in w.weights)
-        if not support or sum(w[m] for m in support) <= 0.0:
-            return None
-        w_eff = effective_weights(w, support)
-        matrix = np.array([[components[m].values[k]] for m in support])
-        weights = np.array([w_eff[m] for m in support])
-        values_by_level.append(float(combine_values(matrix, weights, spec.combiner)[0]))
-    q = np.maximum.accumulate(np.maximum(np.array(values_by_level), 0.0))
+    """One ensemble forecast, or None when some level has no weighted component."""
+    if spec.sharing == "per_quantile":
+        strata = [by_stratum[f"q{tau:g}"][0] for tau in levels.levels]
+        weights = np.array([[w.weights.get(m, 0.0) for w in strata] for m in avail])
+    else:
+        w, _ = by_stratum[f"h{h}" if spec.sharing == "per_horizon" else ""]
+        weights = np.array([w.weights.get(m, 0.0) for m in avail])
+    if not weights.any(axis=0).all():
+        return None
+    values = np.array([subs.get(m, loc, s, t).values for m in avail])
+    q = combine_values(values, weights, spec.combiner)
+    q = np.maximum.accumulate(np.maximum(q, 0.0))
     key = ForecastKey(spec.name, loc, s, t)
     return QuantileForecast(key, levels, tuple(float(v) for v in q))

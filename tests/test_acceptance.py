@@ -17,7 +17,6 @@ from qens import (EnsembleSpec, QuantileLevelSet, SubmissionSet, TruthStore,
                   density_from_quantiles, detect_revisions, neg_log_score,
                   relative_wis, score_table, simulate, train_and_forecast,
                   wis, wis_terms)
-from qens.combine import weighted_mean_quantile, weighted_median_quantile
 from qens.density import fit_tail
 from qens.forecast import WEEK, save_forecasts
 from qens.reporting import add_baseline
@@ -248,9 +247,9 @@ def test_criterion_07_weighted_median_robustness():
         values[corrupt_at] = 1e9
         models = [f"m{i}" for i in range(m)]
         w = WeightVector.uniform(models)
-        slice_ = dict(zip(models, values))
-        med = weighted_median_quantile(slice_, w)
-        mean = weighted_mean_quantile(slice_, w)
+        weights = np.array([w[name] for name in models])
+        med = combine_values(values[:, None], weights, "median")[0]
+        mean = combine_values(values[:, None], weights, "mean")[0]
         ordered = np.sort(values)
         second_smallest, second_largest = ordered[1], ordered[-2]
         assert second_smallest - 1e-9 <= med <= second_largest + 1e-9

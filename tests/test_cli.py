@@ -122,6 +122,41 @@ class TestBacktest:
             rows = [r for r in csv.DictReader(fh) if r["spec_id"] == "ens_eq"]
         assert rows and all(float(r["mean_wis_diff"]) == 0.0 for r in rows)
 
+    def test_per_quantile_and_convex_specs(self, tmp_path):
+        # a small scenario: per-quantile sharing runs one theta search per level
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({
+            "seed": 3, "n_locations": 2, "n_weeks": 12,
+            "components": [{"name": "sharp", "dispersion": 0.8},
+                           {"name": "wide", "dispersion": 1.6},
+                           {"name": "low_bias", "bias": 0.8},
+                           {"name": "high_bias", "bias": 1.25}],
+        }))
+        data = tmp_path / "data"
+        assert run_cli("simulate", "--config", str(sim), "--out", str(data)) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "forecast_dir": str(data / "forecasts.csv"),
+            "truth_dir": str(data / "truth"),
+            "output_dir": str(tmp_path / "report"),
+            "specs": [{"name": "ens_eq"},
+                      {"name": "ens_pq", "weighting": "rel_wis_sigmoid",
+                       "sharing": "per_quantile", "top_k": 3, "window_weeks": 3},
+                      {"name": "ens_cvx", "combiner": "mean",
+                       "weighting": "convex_direct", "window_weeks": 3}],
+        }))
+        assert run_cli("backtest", "--config", str(config)) == 0
+        report = tmp_path / "report"
+        with open(report / "ensemble_forecasts.csv") as fh:
+            emitted = {r["model"] for r in csv.DictReader(fh)}
+        assert emitted == {"ens_eq", "ens_pq", "ens_cvx"}
+        with open(report / "weights.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        strata = {r["stratum"] for r in rows if r["spec_id"] == "ens_pq"}
+        assert strata == {f"q{tau:g}" for tau in (0.025, 0.1, 0.25, 0.5, 0.75,
+                                                   0.9, 0.975)}
+        assert any(r["spec_id"] == "ens_cvx" for r in rows)
+
     def test_bundle_independent_of_hash_seed(self, sim_dir, tmp_path):
         # string hashing orders sets differently under each seed; the bundle
         # must not depend on it
@@ -166,3 +201,21 @@ class TestExitCodes:
 
     def test_unknown_flag_is_config_error(self):
         assert run_cli("simulate", "--bogus") == 2
+
+    def test_bad_truth_row_is_data_error(self, tmp_path):
+        truth = tmp_path / "truth"
+        truth.mkdir()
+        (truth / "2021-01-09.csv").write_text(
+            "location,target_end_date,value\nx,2021-01-02\n")
+        assert run_cli("peaks", "--truth", str(truth),
+                       "--out", str(tmp_path / "peaks.csv")) == 3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats alone takes about a second to import; no command that
+    # avoids density and simulation should pay for it
+    code = "import sys, qens.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from qens import (DataError, DuplicateCellError, ForecastKey, ParseError,
                   QuantileForecast, QuantileLevelSet, SubmissionSet,
                   TruthStore, ValidationError, eligible_components,
                   load_forecasts, load_truth_dir, save_forecasts,
-                  save_truth_dir, truth_as_of, weekly_increments)
+                  save_truth_dir, weekly_increments)
 from qens.forecast import WEEK
 
 from conftest import make_forecast, sat, submission_set
@@ -85,22 +85,22 @@ class TestTruthStore:
 
     def test_as_of_between_snapshots_uses_earlier(self):
         store = self.make_store()
-        series = truth_as_of(store, sat(2), "loc")
+        series = store.as_of(sat(2), "loc")
         assert series == [(sat(0), 10.0), (sat(1), 20.0)]
 
     def test_as_of_before_first_snapshot_is_empty(self):
-        assert truth_as_of(self.make_store(), sat(0), "loc") == []
+        assert self.make_store().as_of(sat(0), "loc") == []
 
     def test_as_of_after_last_uses_last(self):
-        series = truth_as_of(self.make_store(), sat(9), "loc")
+        series = self.make_store().as_of(sat(9), "loc")
         assert series[-1] == (sat(3), 40.0)
         assert series[1] == (sat(1), 25.0)  # revised value wins
 
     def test_as_of_monotone_in_query_date(self):
         store = self.make_store()
         for i in range(5):
-            early = dict(truth_as_of(store, sat(i), "loc"))
-            late = dict(truth_as_of(store, sat(i + 1), "loc"))
+            early = dict(store.as_of(sat(i), "loc"))
+            late = dict(store.as_of(sat(i + 1), "loc"))
             for week, value in early.items():
                 if week in late and value != late[week]:
                     # later query may only reflect later snapshots
@@ -254,3 +254,15 @@ class TestTruthCSV:
         assert loaded.snapshot_dates == (sat(1), sat(2))
         assert loaded.latest() == store.latest()
         assert loaded.snapshot(sat(1)) == store.snapshot(sat(1))
+
+    @pytest.mark.parametrize("row", ["x,2021-01-02", "x,2021-01-02,ten",
+                                     "x,2021-01-02,nan", "x,2021-01-02,inf",
+                                     "x,2021-01-02,5,6"])
+    def test_bad_row_rejected_with_line(self, tmp_path, row):
+        truth = tmp_path / "truth"
+        truth.mkdir()
+        (truth / "2021-01-09.csv").write_text(
+            f"location,target_end_date,value\nx,2021-01-09,4\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_truth_dir(truth)
+        assert exc.value.line == 3

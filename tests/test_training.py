@@ -7,9 +7,11 @@ import pytest
 
 from qens import (ConfigError, DataError, EnsembleSpec, QuantileLevelSet,
                   SubmissionSet, TruthStore, WeightVector,
-                  build_training_window, convex_weights, default_theta_grid,
-                  fit_theta, select_top_k, sigmoid_weights,
-                  train_and_forecast, window_objective)
+                  build_training_window, combine_values, convex_weights,
+                  default_theta_grid, eligible_components, fit_theta,
+                  select_top_k, sigmoid_weights, train_and_forecast,
+                  window_objective)
+from qens import training
 from qens.forecast import WEEK
 from qens.scoring import wis_terms
 from qens.training import (ThetaGrid, TrainingWindow, WindowRecord,
@@ -115,11 +117,9 @@ class TestWindowObjective:
             got = window_objective(window.records, w, combiner, three)
             expected = 0.0
             for rec in window.records:
-                from qens.combine import combine_values, effective_weights
                 models = sorted(rec.values)
-                w_eff = effective_weights(w, models)
                 matrix = np.array([rec.values[m] for m in models])
-                weights = np.array([w_eff[m] for m in models])
+                weights = np.array([w[m] for m in models])
                 q = combine_values(matrix, weights, combiner)
                 q = np.maximum.accumulate(np.maximum(q, 0.0))
                 expected += float(wis_terms(three.levels, q, rec.y).mean())
@@ -352,3 +352,79 @@ class TestTrainAndForecast:
         for m in models:
             vertex = {n: 1.0 if n == m else 0.0 for n in models}
             assert opt <= _mean_objective(records, models, vertex, three) + 1e-9
+
+
+def emitted_cells(subs, spec, out, levels):
+    """(forecast, components in the order emission stacks them) per cell."""
+    for key, f in sorted(out.forecasts.items()):
+        avail = eligible_components(subs, key.location, key.forecast_date,
+                                    levels, require_history=spec.trained)
+        values = np.array([subs.get(m, key.location, key.forecast_date,
+                                    key.target_end_date).values for m in avail])
+        yield f, avail, values
+
+
+class TestEmissionMatchesKernel:
+    @pytest.mark.parametrize("combiner", ["mean", "median"])
+    def test_emission_matches_objective_bit_for_bit(self, three, combiner,
+                                                    monkeypatch):
+        subs, truth = backtest_inputs(three)
+        spec = EnsembleSpec(name="t", combiner=combiner,
+                            weighting="rel_wis_sigmoid", window_weeks=5)
+        out, log_rows = train_and_forecast(subs, truth, spec,
+                                           subs.forecast_dates(), three)
+        scored = []
+
+        def recording_wis_terms(levels, q, y):
+            scored.append(np.array(q))
+            return wis_terms(levels, q, y)
+
+        monkeypatch.setattr(training, "wis_terms", recording_wis_terms)
+        assert out.forecasts
+        for f, avail, values in emitted_cells(subs, spec, out, three):
+            k = f.key
+            w = WeightVector({r["model"]: r["weight"] for r in log_rows
+                              if r["forecast_date"] == k.forecast_date})
+            record = WindowRecord(k.location, k.forecast_date, k.target_end_date,
+                                  k.horizon, 1.0,
+                                  {m: tuple(v) for m, v in zip(avail, values)})
+            window_objective([record], w, combiner, three)
+            assert scored[-1].tobytes() == np.array(f.values).tobytes()
+
+    @pytest.mark.parametrize("combiner", ["mean", "median"])
+    def test_per_quantile_cells_use_each_levels_weights(self, three, combiner):
+        subs, truth = backtest_inputs(three, models=("a", "b", "c", "d"))
+        spec = EnsembleSpec(name="pq", combiner=combiner,
+                            weighting="rel_wis_sigmoid", top_k=2,
+                            window_weeks=4, sharing="per_quantile")
+        out, log_rows = train_and_forecast(subs, truth, spec,
+                                           subs.forecast_dates(), three)
+        labels = [f"q{tau:g}" for tau in three.levels]
+        assert {r["stratum"] for r in log_rows} == set(labels)
+        assert out.forecasts
+        for f, avail, values in emitted_cells(subs, spec, out, three):
+            by_label = {label: {} for label in labels}
+            for r in log_rows:
+                if r["forecast_date"] == f.key.forecast_date:
+                    by_label[r["stratum"]][r["model"]] = r["weight"]
+            weights = np.array([[by_label[label].get(m, 0.0) for label in labels]
+                                for m in avail])
+            q = combine_values(values, weights, combiner)
+            q = np.maximum.accumulate(np.maximum(q, 0.0))
+            assert q.tobytes() == np.array(f.values).tobytes()
+
+    def test_convex_direct_cells_use_logged_weights(self, three):
+        subs, truth = backtest_inputs(three)
+        spec = EnsembleSpec(name="cvx", combiner="mean",
+                            weighting="convex_direct", window_weeks=4)
+        out, log_rows = train_and_forecast(subs, truth, spec,
+                                           subs.forecast_dates(), three)
+        assert out.forecasts
+        for f, avail, values in emitted_cells(subs, spec, out, three):
+            w = {r["model"]: r["weight"] for r in log_rows
+                 if r["forecast_date"] == f.key.forecast_date}
+            assert sum(w.values()) == pytest.approx(1.0, abs=1e-9)
+            q = combine_values(values, np.array([w.get(m, 0.0) for m in avail]),
+                               "mean")
+            q = np.maximum.accumulate(np.maximum(q, 0.0))
+            assert q.tobytes() == np.array(f.values).tobytes()
