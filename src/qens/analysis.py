@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParseError
 from .forecast import ForecastKey, QuantileForecast, TruthStore
 from .scoring import standardized_rank
 
@@ -162,14 +162,23 @@ def load_anomalies(path: str | Path) -> list[AnomalyRecord]:
         raise DataError(f"anomaly file not found: {path}")
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(AnomalyRecord(
-                row["location"], dt.date.fromisoformat(row["target_end_date"]),
-                row["kind"],
-                float(row["initial_value"]) if row.get("initial_value") else None,
-                float(row["final_value"]) if row.get("final_value") else None,
-            ))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ANOMALY_CSV_HEADER:
+            raise ParseError(f"unexpected anomaly header {header!r} in {path}", 1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                loc, tdate, kind, initial, final = row
+                record = AnomalyRecord(loc, dt.date.fromisoformat(tdate), kind,
+                                       float(initial) if initial else None,
+                                       float(final) if final else None)
+            except ValueError as e:
+                raise ParseError(f"bad row in {path}: {e}", lineno) from None
+            if kind not in ("revision", "outlier"):
+                raise ParseError(f"unknown anomaly kind {kind!r} in {path}", lineno)
+            out.append(record)
     return out
 
 

@@ -27,6 +27,17 @@ def _levels_option(f):
                         help="Quantile level preset for generated forecasts.")(f)
 
 
+def _read_json(path: Path):
+    """A JSON config file's contents; a missing or malformed file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+    except ValueError as e:
+        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+
+
 def _parse_date(text: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text)
@@ -49,7 +60,7 @@ def cli():
 def simulate_cmd(config, seed, out, levels):
     """Generate a synthetic multi-model forecasting dataset."""
     if config is not None:
-        spec = SimSpec.from_json_file(config)
+        spec = SimSpec.from_dict(_read_json(config))
     else:
         from .simulate import ComponentProfile
         spec = SimSpec(
@@ -88,13 +99,7 @@ def simulate_cmd(config, seed, out, levels):
               help="Model id used as the relative-score reference.")
 def ensemble(forecasts, truth_dir, config, out, weights_out, baseline):
     """Train (if configured) and emit one ensemble over all forecast dates."""
-    try:
-        with open(config, encoding="utf-8") as fh:
-            spec = EnsembleSpec.from_dict(json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {config}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
+    spec = EnsembleSpec.from_dict(_read_json(config))
     subs = load_forecast_dir(forecasts)
     truth = load_truth_dir(truth_dir)
     levels = _common_levels(subs)
@@ -187,20 +192,18 @@ def anomalies(truth_dir, initial_as_of, out):
     """Flag substantially revised observations between two truth snapshots."""
     truth = load_truth_dir(truth_dir)
     final = truth.latest()
+    if initial_as_of:
+        initial = truth.snapshot(_parse_date(initial_as_of))
+    else:
+        initial = {}  # first value ever reported for each (location, week)
+        for d in truth.snapshot_dates:
+            for cell, v in truth.snapshot(d).items():
+                initial.setdefault(cell, v)
     found = []
     for loc in sorted({l for l, _ in final}):
-        final_series = {t: v for (l, t), v in final.items() if l == loc}
-        if initial_as_of:
-            init = truth.snapshot(_parse_date(initial_as_of))
-            initial_series = {t: v for (l, t), v in init.items() if l == loc}
-        else:
-            # first value ever reported for each target week
-            initial_series = {}
-            for d in truth.snapshot_dates:
-                for (l, t), v in truth.snapshot(d).items():
-                    if l == loc and t not in initial_series:
-                        initial_series[t] = v
-        found.extend(detect_revisions(initial_series, final_series, location=loc))
+        found.extend(detect_revisions({t: v for (l, t), v in initial.items() if l == loc},
+                                      {t: v for (l, t), v in final.items() if l == loc},
+                                      location=loc))
     save_anomalies(found, out)
     click.echo(f"wrote {len(found)} anomalies to {out}")
 
@@ -210,7 +213,7 @@ def anomalies(truth_dir, initial_as_of, out):
               help="JSON run config (paths, specs, phases, baseline).")
 def backtest(config):
     """Run every configured ensemble across all dates and score the results."""
-    out = run(RunConfig.from_json_file(config))
+    out = run(RunConfig.from_dict(_read_json(config), base=config.parent))
     click.echo(f"report bundle written to {out}")
 
 

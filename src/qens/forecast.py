@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -49,11 +49,6 @@ class QuantileLevelSet:
     @property
     def K(self) -> int:
         return len(self.levels)
-
-    def is_symmetric(self) -> bool:
-        """True when every level tau (except 0.5) is paired with 1 - tau."""
-        rounded = {round(t, 10) for t in self.levels}
-        return all(t == 0.5 or round(1.0 - t, 10) in rounded for t in rounded)
 
     def central_interval(self, coverage: float) -> tuple[float, float]:
         """Lower/upper levels of the central interval with the given coverage."""
@@ -117,6 +112,8 @@ class QuantileForecast:
             raise ValidationError(
                 f"{self.key}: {len(self.values)} values for {self.levels.K} levels"
             )
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValidationError(f"{self.key}: non-finite predictive quantile")
         if any(v < 0 for v in self.values):
             raise ValidationError(f"{self.key}: negative predictive quantile")
         for lo, hi in zip(self.values, self.values[1:]):
@@ -176,16 +173,29 @@ def weekly_increments(series: Iterable[tuple[dt.date, float]]) -> list[tuple[dt.
     return out
 
 
-@dataclass
 class SubmissionSet:
-    """All component forecasts, keyed by (model, location, forecast date, target)."""
+    """All component forecasts, keyed by (model, location, forecast date, target).
 
-    forecasts: dict[ForecastKey, QuantileForecast] = field(default_factory=dict)
+    `add`, the only writer, files each forecast by reference in the flat
+    `forecasts` dict and in a cell index, forecast date -> location -> model
+    -> horizon, and records each model's earliest forecast date, so questions
+    about one cell or one date never scan every forecast.
+    """
+
+    def __init__(self) -> None:
+        self.forecasts: dict[ForecastKey, QuantileForecast] = {}
+        self._cells: dict[dt.date, dict[str, dict[str, dict[int, QuantileForecast]]]] = {}
+        self._first_date: dict[str, dt.date] = {}
 
     def add(self, forecast: QuantileForecast) -> None:
-        if forecast.key in self.forecasts:
-            raise DuplicateCellError(f"duplicate forecast for {forecast.key}")
-        self.forecasts[forecast.key] = forecast
+        key = forecast.key
+        if key in self.forecasts:
+            raise DuplicateCellError(f"duplicate forecast for {key}")
+        self.forecasts[key] = forecast
+        by_model = self._cells.setdefault(key.forecast_date, {}).setdefault(key.location, {})
+        by_model.setdefault(key.model_id, {})[key.horizon] = forecast
+        if key.forecast_date < self._first_date.get(key.model_id, dt.date.max):
+            self._first_date[key.model_id] = key.forecast_date
 
     def merge(self, other: "SubmissionSet") -> None:
         for f in other.forecasts.values():
@@ -198,28 +208,22 @@ class SubmissionSet:
         return iter(self.forecasts.values())
 
     def models(self) -> list[str]:
-        return sorted({k.model_id for k in self.forecasts})
+        return sorted(self._first_date)
 
     def locations(self) -> list[str]:
-        return sorted({k.location for k in self.forecasts})
+        return sorted({loc for by_loc in self._cells.values() for loc in by_loc})
 
     def forecast_dates(self) -> list[dt.date]:
-        return sorted({k.forecast_date for k in self.forecasts})
+        return sorted(self._cells)
+
+    def locations_on(self, forecast_date: dt.date) -> list[str]:
+        """Locations with at least one forecast issued on `forecast_date`."""
+        return sorted(self._cells.get(forecast_date, ()))
 
     def get(self, model_id: str, location: str, forecast_date: dt.date,
             target_end_date: dt.date) -> QuantileForecast | None:
         return self.forecasts.get(
             ForecastKey(model_id, location, forecast_date, target_end_date))
-
-    def horizon_set(self, model_id: str, location: str,
-                    forecast_date: dt.date) -> dict[int, QuantileForecast]:
-        """Forecasts at all horizons present for one (model, location, date)."""
-        out = {}
-        for h in HORIZONS:
-            f = self.get(model_id, location, forecast_date, forecast_date + h * WEEK)
-            if f is not None:
-                out[h] = f
-        return out
 
 
 def eligible_components(subs: SubmissionSet, location: str, forecast_date: dt.date,
@@ -229,20 +233,11 @@ def eligible_components(subs: SubmissionSet, location: str, forecast_date: dt.da
     With `require_history`, the model must additionally have at least one
     submission at an earlier forecast date (at any location).
     """
-    eligible = []
-    for m in subs.models():
-        by_h = subs.horizon_set(m, location, forecast_date)
-        if set(by_h) != set(HORIZONS):
-            continue
-        if any(f.levels != levels for f in by_h.values()):
-            continue
-        if require_history:
-            prior = any(k.model_id == m and k.forecast_date < forecast_date
-                        for k in subs.forecasts)
-            if not prior:
-                continue
-        eligible.append(m)
-    return eligible
+    cell = subs._cells.get(forecast_date, {}).get(location, {})
+    return [m for m, by_h in sorted(cell.items())
+            if len(by_h) == len(HORIZONS)
+            and all(f.levels == levels for f in by_h.values())
+            and not (require_history and subs._first_date[m] >= forecast_date)]
 
 
 def _parse_date(text: str, line: int) -> dt.date:
@@ -263,7 +258,8 @@ def load_forecasts(path: str | Path, levels: QuantileLevelSet | None = None) -> 
     path = Path(path)
     if not path.exists():
         raise DataError(f"forecast file not found: {path}")
-    cells: dict[tuple[ForecastKey, float], float] = {}
+    by_key: dict[ForecastKey, dict[float, float]] = {}
+    by_raw: dict[tuple[str, str, str, str], tuple[ForecastKey, dict[float, float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -277,30 +273,33 @@ def load_forecasts(path: str | Path, levels: QuantileLevelSet | None = None) -> 
             model, fdate, loc, tdate, rtype, qlevel, value = row
             if rtype != "quantile":
                 continue
+            cached = by_raw.get((model, fdate, loc, tdate))
+            if cached is None:
+                try:
+                    key = ForecastKey(model, loc, _parse_date(fdate, lineno),
+                                      _parse_date(tdate, lineno))
+                except ValidationError as e:
+                    raise ParseError(str(e), lineno) from None
+                # raw fields that parse to one key share its level dict
+                cached = by_raw[(model, fdate, loc, tdate)] = (key, by_key.setdefault(key, {}))
+            key, by_level = cached
             try:
-                key = ForecastKey(model, loc, _parse_date(fdate, lineno),
-                                  _parse_date(tdate, lineno))
-            except ValidationError as e:
-                raise ParseError(str(e), lineno) from None
-            try:
-                tau = float(qlevel)
+                tau = round(float(qlevel), 10)
                 val = float(value)
             except ValueError as e:
                 raise ParseError(f"bad numeric field: {e}", lineno) from None
-            cell = (key, round(tau, 10))
-            if cell in cells:
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite value {value!r}", lineno)
+            if tau in by_level:
                 raise DuplicateCellError(
                     f"line {lineno}: duplicate cell {key} at level {tau}")
-            cells[cell] = val
+            by_level[tau] = val
 
     subs = SubmissionSet()
-    by_key: dict[ForecastKey, dict[float, float]] = {}
-    for (key, tau), val in cells.items():
-        by_key.setdefault(key, {})[tau] = val
-    for key in sorted(by_key):
-        taus = sorted(by_key[key])
-        values = tuple(by_key[key][t] for t in taus)
-        subs.add(QuantileForecast(key, QuantileLevelSet(tuple(taus)), values))
+    for key, by_level in sorted(by_key.items()):
+        taus = tuple(sorted(by_level))
+        values = tuple(by_level[t] for t in taus)
+        subs.add(QuantileForecast(key, QuantileLevelSet(taus), values))
     return subs
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,7 +17,6 @@ from typing import Mapping, Sequence
 from .analysis import (AnomalyRecord, detect_peaks, load_anomalies,
                        revision_exclusion_set, save_peaks)
 from .baseline import baseline_forecast
-from .combine import WeightVector
 from .errors import ConfigError, DataError
 from .forecast import (HORIZONS, WEEK, QuantileForecast, QuantileLevelSet,
                        SubmissionSet, TruthStore, load_forecasts,
@@ -60,18 +58,27 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: Mapping, base: Path | None = None) -> "RunConfig":
         base = base or Path(".")
+        if not isinstance(data, Mapping):
+            raise ConfigError("run config must be a JSON object")
 
         def path_of(key):
             raw = data.get(key)
+            if raw is not None and not isinstance(raw, str):
+                raise ConfigError(f"{key} must be a path string, got {raw!r}")
             return (base / raw) if raw is not None else None
 
-        try:
-            specs = [EnsembleSpec.from_dict(d) for d in data["specs"]]
-        except KeyError:
-            raise ConfigError("run config must list ensemble specs") from None
+        if not isinstance(data.get("specs"), list):
+            raise ConfigError("run config must list ensemble specs")
+        specs = [EnsembleSpec.from_dict(d) for d in data["specs"]]
         lv = data.get("levels", 7)
-        levels = (QuantileLevelSet.preset(lv) if isinstance(lv, int)
-                  else QuantileLevelSet(tuple(lv)))
+        try:
+            levels = (QuantileLevelSet.preset(lv) if isinstance(lv, int)
+                      else QuantileLevelSet(tuple(lv)))
+        except (TypeError, DataError) as e:
+            raise ConfigError(f"bad levels {lv!r}: {e}") from None
+        seed = data.get("baseline_seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"baseline_seed must be an integer, got {seed!r}")
         for key in ("forecast_dir", "truth_dir", "output_dir"):
             if key not in data:
                 raise ConfigError(f"run config missing {key!r}")
@@ -87,24 +94,15 @@ class RunConfig:
             prospective_start=_opt_date(data.get("prospective_start")),
             anomalies_file=path_of("anomalies_file"),
             apply_exclusions=bool(data.get("apply_exclusions", False)),
-            baseline_seed=int(data.get("baseline_seed", 0)),
+            baseline_seed=seed,
         )
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "RunConfig":
-        path = Path(path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from None
-        return cls.from_dict(data, base=path.parent)
 
 
 def _opt_date(raw) -> dt.date | None:
-    return dt.date.fromisoformat(raw) if raw else None
+    try:
+        return dt.date.fromisoformat(raw) if raw else None
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad date {raw!r} in run config") from None
 
 
 def load_forecast_dir(path: Path, levels: QuantileLevelSet | None = None) -> SubmissionSet:
@@ -169,14 +167,13 @@ def run(config: RunConfig) -> Path:
     """Execute the full pipeline and write the report bundle; returns its path."""
     subs = load_forecast_dir(config.forecast_dir, None)
     truth = load_truth_dir(config.truth_dir)
+    anomalies: list[AnomalyRecord] = []
+    if config.anomalies_file is not None:
+        anomalies = load_anomalies(config.anomalies_file)
     dates = subs.forecast_dates()
     if config.baseline_model not in subs.models():
         add_baseline(subs, truth, dates, config.levels,
                      model_id=config.baseline_model, seed=config.baseline_seed)
-
-    anomalies: list[AnomalyRecord] = []
-    if config.anomalies_file is not None:
-        anomalies = load_anomalies(config.anomalies_file)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,10 +183,10 @@ def run(config: RunConfig) -> Path:
     for spec in config.specs:
         spec_dates = dates
         if spec.weighting == "post_hoc":
-            final = truth.latest()
+            final, locations = truth.latest(), subs.locations()
             spec_dates = [s for s in dates
                           if all((loc, s + h * WEEK) in final
-                                 for loc in subs.locations() for h in HORIZONS)]
+                                 for loc in locations for h in HORIZONS)]
         ens, wlog = train_and_forecast(subs, truth, spec, spec_dates,
                                        config.levels,
                                        baseline_model=config.baseline_model)
@@ -244,21 +241,14 @@ def save_coverage(subs: SubmissionSet, truth: TruthStore, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "level", "coverage"])
-        for m in subs.models():
-            forecasts, observed = [], []
-            for f in subs:
-                if f.key.model_id != m:
-                    continue
-                y = final.get((f.key.location, f.key.target_end_date))
-                if y is None or y < 0:
-                    continue
-                forecasts.append(f)
-                observed.append(y)
-            if not forecasts:
-                continue
-            levels = forecasts[0].levels
-            usable = [(f, y) for f, y in zip(forecasts, observed)
-                      if f.levels == levels]
+        by_model: dict[str, list[tuple[QuantileForecast, float]]] = {}
+        for f in subs:
+            y = final.get((f.key.location, f.key.target_end_date))
+            if y is not None and y >= 0:
+                by_model.setdefault(f.key.model_id, []).append((f, y))
+        for m, scorable in sorted(by_model.items()):
+            levels = scorable[0][0].levels
+            usable = [(f, y) for f, y in scorable if f.levels == levels]
             rates = coverage_rates([f for f, _ in usable], [y for _, y in usable])
             for tau in sorted(rates):
                 writer.writerow([m, f"{tau:g}", repr(rates[tau])])

@@ -14,16 +14,14 @@ so runs are reproducible bit for bit for a fixed seed.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .analysis import AnomalyRecord
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .forecast import (HORIZONS, WEEK, ForecastKey, QuantileForecast,
                        QuantileLevelSet, SubmissionSet, TruthStore)
 
@@ -117,28 +115,23 @@ class SimSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimSpec":
-        data = dict(data)
-        if "start" in data:
-            data["start"] = dt.date.fromisoformat(data["start"])
-        if "levels" in data:
-            lv = data["levels"]
-            data["levels"] = (QuantileLevelSet.preset(lv) if isinstance(lv, int)
-                              else QuantileLevelSet(tuple(lv)))
-        if "components" in data:
-            data["components"] = tuple(ComponentProfile(**c) for c in data["components"])
-        if "wave_amplitude" in data:
-            data["wave_amplitude"] = tuple(data["wave_amplitude"])
-        if "wave_width" in data:
-            data["wave_width"] = tuple(data["wave_width"])
         try:
+            data = dict(data)
+            if "start" in data:
+                data["start"] = dt.date.fromisoformat(data["start"])
+            if "levels" in data:
+                lv = data["levels"]
+                data["levels"] = (QuantileLevelSet.preset(lv) if isinstance(lv, int)
+                                  else QuantileLevelSet(tuple(lv)))
+            if "components" in data:
+                data["components"] = tuple(ComponentProfile(**c) for c in data["components"])
+            if "wave_amplitude" in data:
+                data["wave_amplitude"] = tuple(data["wave_amplitude"])
+            if "wave_width" in data:
+                data["wave_width"] = tuple(data["wave_width"])
             return cls(**data)
-        except TypeError as e:
+        except (TypeError, ValueError, DataError) as e:
             raise ConfigError(f"bad simulation spec: {e}") from None
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "SimSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _wave_intensity(week: np.ndarray, waves: Sequence[Wave]) -> np.ndarray:

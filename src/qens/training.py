@@ -10,7 +10,6 @@ against vintage-correct truth.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -74,6 +73,14 @@ class EnsembleSpec:
     rwis_aggregation: str = "geometric"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"ensemble spec name must be a string, got {self.name!r}")
+        for name, kinds, what in (("top_k", (int, type(None)), "an integer or null"),
+                                  ("window_weeks", (int, type(None)), "an integer or null"),
+                                  ("max_weight", (int, float), "a number")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.combiner not in COMBINERS:
             raise ConfigError(f"unknown combiner {self.combiner!r}")
         if self.weighting not in WEIGHTINGS:
@@ -106,6 +113,8 @@ class EnsembleSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "EnsembleSpec":
+        if not isinstance(data, Mapping):
+            raise ConfigError("ensemble spec must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
@@ -113,9 +122,6 @@ class EnsembleSpec:
         if "name" not in data:
             raise ConfigError("ensemble spec needs a name")
         return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -151,8 +157,7 @@ def build_training_window(subs: SubmissionSet, truth: TruthStore, s: dt.date,
     for r in sorted(window_dates):
         if r >= s:
             raise DataError(f"window date {r} is not before the forecast date {s}")
-        locations = sorted({k.location for k in subs.forecasts if k.forecast_date == r})
-        for loc in locations:
+        for loc in subs.locations_on(r):
             models = eligible_components(subs, loc, r, levels, require_history=False)
             if not models:
                 continue
@@ -322,8 +327,7 @@ def post_hoc_records(subs: SubmissionSet, truth: TruthStore, s: dt.date,
     """Scorable units for a single forecast date against realized truth."""
     final = truth.latest()
     records: list[WindowRecord] = []
-    locations = sorted({k.location for k in subs.forecasts if k.forecast_date == s})
-    for loc in locations:
+    for loc in subs.locations_on(s):
         models = eligible_components(subs, loc, s, levels, require_history=False)
         if not models:
             continue
@@ -437,7 +441,7 @@ def train_and_forecast(subs: SubmissionSet, truth: TruthStore, spec: EnsembleSpe
     weight_log: list[dict] = []
 
     for s in dates:
-        locations = sorted({k.location for k in subs.forecasts if k.forecast_date == s})
+        locations = subs.locations_on(s)
         elig = {loc: eligible_components(subs, loc, s, levels,
                                          require_history=spec.trained)
                 for loc in locations}

@@ -5,8 +5,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from qens import (DataError, ForecastKey, QuantileLevelSet, TruthStore,
-                  components_to_cumulative_weight, detect_peaks,
+from qens import (DataError, ForecastKey, ParseError, QuantileLevelSet,
+                  TruthStore, components_to_cumulative_weight, detect_peaks,
                   detect_revisions, lag1_autocorrelation, pi_width_rank,
                   revision_exclusion_set)
 from qens.analysis import (AnomalyRecord, load_anomalies, save_anomalies,
@@ -194,3 +194,22 @@ class TestAnomalyCSV:
         save_peaks(peaks, tmp_path / "p.csv")
         text = (tmp_path / "p.csv").read_text()
         assert "loc" in text and sat(10).isoformat() in text
+
+    @pytest.mark.parametrize("row", ["x,2021-13-02,revision,1.0,2.0",
+                                     "x,2021-01-02,revision,ten,2.0",
+                                     "x,2021-01-02,revision,1.0,2.0,3.0",
+                                     "x,2021-01-02,typo,1.0,2.0"])
+    def test_bad_row_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "a.csv"
+        path.write_text("location,target_end_date,kind,initial_value,final_value\n"
+                        f"x,2021-01-09,outlier,,\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_anomalies(path)
+        assert exc.value.line == 3
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("location,kind,initial_value,final_value\nx,revision,1,2\n")
+        with pytest.raises(ParseError) as exc:
+            load_anomalies(path)
+        assert exc.value.line == 1

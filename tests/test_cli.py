@@ -219,3 +219,81 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.stdout.strip() == "False"
+
+
+class TestBadInputExitCodes:
+    def test_non_finite_forecast_is_data_error(self, sim_dir, tmp_path):
+        lines = (sim_dir / "forecasts.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        lines[1] = ",".join(fields[:-1] + ["nan"])
+        bad = tmp_path / "forecasts.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli("score", "--forecasts", str(bad),
+                       "--truth", str(sim_dir / "truth"),
+                       "--out", str(tmp_path / "s.csv")) == 3
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("text, line", [
+        ("location,target_end_date,kind,initial_value,final_value\n"
+         "x,2021-99-01,revision,1.0,2.0\n", 2),
+        ("location,target_end_date,kind,initial_value,final_value\n"
+         "x,2021-01-02,revision,ten,2.0\n", 2),
+        ("location,kind,initial_value,final_value\nx,revision,1.0,2.0\n", 1),
+        ("location,target_end_date,kind,initial_value,final_value\n"
+         "x,2021-01-02,outlier,,\nx,2021-01-09,spike,1.0,2.0\n", 3),
+    ], ids=["bad_date", "bad_value", "no_target_end_date", "bad_kind"])
+    def test_bad_anomalies_is_data_error(self, sim_dir, tmp_path, text, line):
+        (tmp_path / "anomalies.csv").write_text(text)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "forecast_dir": str(sim_dir / "forecasts.csv"),
+            "truth_dir": str(sim_dir / "truth"),
+            "output_dir": str(tmp_path / "report"),
+            "anomalies_file": "anomalies.csv",
+            "specs": [{"name": "ens_eq"}],
+        }))
+        done = subprocess.run([sys.executable, "-m", "qens.cli", "backtest",
+                               "--config", str(config)], capture_output=True,
+                              text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 3
+        assert "Traceback" not in done.stderr
+        assert f"data error: line {line}:" in done.stderr
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: {**c, "prospective_start": "2020-99-01"},
+        lambda c: {**c, "baseline_seed": "x"},
+        lambda c: {**c, "levels": ["a"]},
+        lambda c: {**c, "specs": [{"name": "e", "top_k": "3"}]},
+        lambda c: {**c, "specs": [{"name": "e", "max_weight": "0.5"}]},
+        lambda c: [c],
+    ], ids=["bad_date", "string_seed", "string_levels", "string_top_k",
+            "string_max_weight", "array_config"])
+    def test_mistyped_config_is_config_error(self, sim_dir, tmp_path, capsys,
+                                             edit):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(edit({
+            "forecast_dir": str(sim_dir / "forecasts.csv"),
+            "truth_dir": str(sim_dir / "truth"),
+            "output_dir": str(tmp_path / "report"),
+            "specs": [{"name": "ens_eq"}],
+        })))
+        assert run_cli("backtest", "--config", str(config)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("text", ['{"start": "2021-99-01"}', '{"levels": ["a"]}',
+                                      '{"levels": 5}', '{"components": [1]}', "{", None])
+    def test_bad_simulation_config_is_config_error(self, tmp_path, text):
+        config = tmp_path / "sim.json"
+        if text is not None:  # None: the file is missing
+            config.write_text(text)
+        assert run_cli("simulate", "--config", str(config),
+                       "--out", str(tmp_path / "data")) == 2
+
+    def test_array_spec_is_config_error(self, sim_dir, tmp_path):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps([{"name": "ens"}]))
+        assert run_cli("ensemble", "--forecasts", str(sim_dir / "forecasts.csv"),
+                       "--truth", str(sim_dir / "truth"), "--config", str(config),
+                       "--out", str(tmp_path / "o.csv")) == 2

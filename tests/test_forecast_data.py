@@ -1,6 +1,7 @@
 """Forecast containers, truth vintages, eligibility, and CSV round-trips."""
 
 import datetime as dt
+import math
 
 import pytest
 
@@ -265,4 +266,22 @@ class TestTruthCSV:
             f"location,target_end_date,value\nx,2021-01-09,4\n{row}\n")
         with pytest.raises(ParseError) as exc:
             load_truth_dir(truth)
+        assert exc.value.line == 3
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_forecast_rejects_non_finite(self, three, value):
+        with pytest.raises(ValidationError):
+            make_forecast("m", "loc", sat(0), 1, three, [1.0, value, 3.0])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_load_names_line(self, tmp_path, value):
+        path = tmp_path / "f.csv"
+        path.write_text(
+            "model,forecast_date,location,target_end_date,type,quantile,value\n"
+            "m,2021-01-02,loc,2021-01-09,quantile,0.25,10\n"
+            f"m,2021-01-02,loc,2021-01-09,quantile,0.5,{value}\n")
+        with pytest.raises(ParseError) as exc:
+            load_forecasts(path)
         assert exc.value.line == 3
