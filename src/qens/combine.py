@@ -56,11 +56,12 @@ def combine_values(values: np.ndarray, weights: np.ndarray, method: str,
 
     `values` has one row per present component (rows ordered by model id)
     and one column per quantile level. `weights` holds their raw nonnegative
-    weights, one per row (M,) or one per row and level (M, K); each level's
-    weights are renormalized over the rows. Returns the combined levels
-    before flooring and monotonization. This is the one kernel behind
-    `combine`, the training objective and forecast emission, so the three
-    agree bit for bit.
+    weights, per row (M,) or per row and level (M, K); each level's weights
+    are renormalized over the rows. A leading batch axis, (T, M, K) or
+    (T, M, 1), gives (T, K) with row t bit for bit the call on `weights[t]`.
+    Returns the levels before flooring and monotonization. This one kernel
+    serves `combine`, the training objective and forecast emission, so the
+    three agree bit for bit.
 
     The median gives each positive-weight value, sorted stably (model-id
     order on ties), the midpoint mass position P_m = sum_{j<m} w_j + w_m / 2
@@ -74,40 +75,42 @@ def combine_values(values: np.ndarray, weights: np.ndarray, method: str,
     w = np.asarray(weights, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
-    if len(w) == 0:
+    if w.shape[-2] == 0:
         raise DataError("no components to combine")
     # cumsum adds sequentially; np.sum switches to pairwise summation, which
     # would move the median's mass positions by an ulp
-    total = w.cumsum(axis=0)[-1]
+    total = w.cumsum(axis=-2)[..., -1:, :]
     if not (total > 0.0).all():
         raise DataError("no weight mass on available components")
     w = w / total
     if method == "mean":
-        return (w * values).sum(axis=0)
+        return (w * values).sum(axis=-2)
 
     # Zero-weight entries sort last (as NaN), after the n positive ones.
-    w = np.broadcast_to(w, values.shape)
+    w = np.broadcast_to(w, w.shape[:-2] + values.shape)
     positive = w > 0.0
-    n = positive.sum(axis=0)
-    order = np.where(positive, values, np.nan).argsort(axis=0, kind="stable")
+    n = positive.sum(axis=-2)
+    order = np.where(positive, values, np.nan).argsort(axis=-2, kind="stable")
     cols = np.arange(values.shape[1])
-    vals, wts = values[order, cols], w[order, cols]
-    cum = wts.cumsum(axis=0)
+    batch = (np.arange(len(w))[:, None],) if w.ndim == 3 else ()  # indexes the batch axis
+    vals, wts = values[order, cols], w[(*(b[..., None] for b in batch), order, cols)]
+    cum = wts.cumsum(axis=-2)
     last = n - 1
     if not interpolate:
-        return vals[np.minimum((cum < 0.5).sum(axis=0), last), cols]
+        return vals[(*batch, np.minimum((cum < 0.5).sum(axis=-2), last), cols)]
     pos = cum - wts / 2.0
     # j: the last positive entry's position at or below 0.5; the clamps
     # below replace the levels where 0.5 lies outside the positions
-    j = ((pos <= 0.5) & (np.arange(len(w))[:, None] < n)).sum(axis=0) - 1
+    j = ((pos <= 0.5) & (np.arange(w.shape[-2])[:, None] < n[..., None, :])).sum(axis=-2) - 1
     j = np.maximum(j, 0)
     j1 = np.minimum(j + 1, last)
-    v0, v1, p0, p1 = vals[j, cols], vals[j1, cols], pos[j, cols], pos[j1, cols]
+    v0, v1 = vals[(*batch, j, cols)], vals[(*batch, j1, cols)]
+    p0, p1 = pos[(*batch, j, cols)], pos[(*batch, j1, cols)]
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = (v1 - v0) / (p1 - p0) * (0.5 - p0) + v0
     inner = np.where(p0 == 0.5, v0, inner)
-    inner = np.where(0.5 >= pos[last, cols], vals[last, cols], inner)
-    return np.where(0.5 <= pos[0], vals[0], inner)
+    inner = np.where(0.5 >= pos[(*batch, last, cols)], vals[(*batch, last, cols)], inner)
+    return np.where(0.5 <= pos[..., 0, :], vals[..., 0, :], inner)
 
 
 def combine(forecasts: Mapping[str, QuantileForecast], w: WeightVector,

@@ -247,59 +247,59 @@ def _parse_date(text: str, line: int) -> dt.date:
         raise ParseError(f"bad date {text!r}: {e}", line) from None
 
 
-def load_forecasts(path: str | Path, levels: QuantileLevelSet | None = None) -> SubmissionSet:
-    """Read a forecast CSV into a SubmissionSet.
+def load_forecasts(*paths: str | Path) -> SubmissionSet:
+    """Read forecast CSVs, file by file, into one SubmissionSet.
 
-    Rows with type != "quantile" are ignored. Duplicate cells and per-forecast
-    quantile crossings are rejected. Each forecast is built from whatever
-    levels were actually provided; completeness against a canonical level set
-    is checked later by `eligible_components`.
+    Rows with type != "quantile" are ignored. Duplicate cells, per-forecast
+    quantile crossings and a forecast in two files are rejected. Each
+    forecast is built from whatever levels were actually provided;
+    completeness against a canonical level set is checked later by
+    `eligible_components`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"forecast file not found: {path}")
-    by_key: dict[ForecastKey, dict[float, float]] = {}
-    by_raw: dict[tuple[str, str, str, str], tuple[ForecastKey, dict[float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FORECAST_CSV_HEADER:
-            raise ParseError(f"unexpected header {header!r} in {path}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(FORECAST_CSV_HEADER):
-                raise ParseError(f"expected {len(FORECAST_CSV_HEADER)} fields, got {len(row)}", lineno)
-            model, fdate, loc, tdate, rtype, qlevel, value = row
-            if rtype != "quantile":
-                continue
-            cached = by_raw.get((model, fdate, loc, tdate))
-            if cached is None:
-                try:
-                    key = ForecastKey(model, loc, _parse_date(fdate, lineno),
-                                      _parse_date(tdate, lineno))
-                except ValidationError as e:
-                    raise ParseError(str(e), lineno) from None
-                # raw fields that parse to one key share its level dict
-                cached = by_raw[(model, fdate, loc, tdate)] = (key, by_key.setdefault(key, {}))
-            key, by_level = cached
-            try:
-                tau = round(float(qlevel), 10)
-                val = float(value)
-            except ValueError as e:
-                raise ParseError(f"bad numeric field: {e}", lineno) from None
-            if not math.isfinite(val):
-                raise ParseError(f"non-finite value {value!r}", lineno)
-            if tau in by_level:
-                raise DuplicateCellError(
-                    f"line {lineno}: duplicate cell {key} at level {tau}")
-            by_level[tau] = val
-
     subs = SubmissionSet()
-    for key, by_level in sorted(by_key.items()):
-        taus = tuple(sorted(by_level))
-        values = tuple(by_level[t] for t in taus)
-        subs.add(QuantileForecast(key, QuantileLevelSet(taus), values))
+    for path in map(Path, paths):
+        if not path.exists():
+            raise DataError(f"forecast file not found: {path}")
+        by_key: dict[ForecastKey, dict[float, float]] = {}
+        by_raw: dict[tuple[str, str, str, str], tuple[ForecastKey, dict[float, float]]] = {}
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != FORECAST_CSV_HEADER:
+                raise ParseError(f"unexpected header {header!r} in {path}", 1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
+                model, fdate, loc, tdate, rtype, qlevel, value = row
+                if rtype != "quantile":
+                    continue
+                cached = by_raw.get((model, fdate, loc, tdate))
+                if cached is None:
+                    try:
+                        key = ForecastKey(model, loc, _parse_date(fdate, lineno),
+                                          _parse_date(tdate, lineno))
+                    except ValidationError as e:
+                        raise ParseError(str(e), lineno) from None
+                    # raw fields that parse to one key share its level dict
+                    cached = by_raw[(model, fdate, loc, tdate)] = (key, by_key.setdefault(key, {}))
+                key, by_level = cached
+                try:
+                    tau = round(float(qlevel), 10)
+                    val = float(value)
+                except ValueError as e:
+                    raise ParseError(f"bad numeric field: {e}", lineno) from None
+                if not math.isfinite(val):
+                    raise ParseError(f"non-finite value {value!r}", lineno)
+                if tau in by_level:
+                    raise DuplicateCellError(
+                        f"line {lineno}: duplicate cell {key} at level {tau}")
+                by_level[tau] = val
+        for key, by_level in sorted(by_key.items()):
+            taus = tuple(sorted(by_level))
+            values = tuple(by_level[t] for t in taus)
+            subs.add(QuantileForecast(key, QuantileLevelSet(taus), values))
     return subs
 
 

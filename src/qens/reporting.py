@@ -105,20 +105,15 @@ def _opt_date(raw) -> dt.date | None:
         raise ConfigError(f"bad date {raw!r} in run config") from None
 
 
-def load_forecast_dir(path: Path, levels: QuantileLevelSet | None = None) -> SubmissionSet:
-    """Load and merge forecast CSVs from a directory (or one CSV file)."""
+def load_forecast_dir(path: Path) -> SubmissionSet:
+    """Load the forecast CSVs of a directory (or one CSV file) into one set."""
     path = Path(path)
-    if path.is_file():
-        return load_forecasts(path, levels)
-    if not path.is_dir():
+    if not path.exists():
         raise DataError(f"forecast file or directory not found: {path}")
-    files = sorted(path.glob("*.csv"))
+    files = [path] if path.is_file() else sorted(path.glob("*.csv"))
     if not files:
         raise DataError(f"no forecast CSVs in {path}")
-    subs = SubmissionSet()
-    for fp in files:
-        subs.merge(load_forecasts(fp, levels))
-    return subs
+    return load_forecasts(*files)
 
 
 def add_baseline(subs: SubmissionSet, truth: TruthStore, dates: Sequence[dt.date],
@@ -165,7 +160,7 @@ def phase_of(config: RunConfig, forecast_date: dt.date) -> str:
 
 def run(config: RunConfig) -> Path:
     """Execute the full pipeline and write the report bundle; returns its path."""
-    subs = load_forecast_dir(config.forecast_dir, None)
+    subs = load_forecast_dir(config.forecast_dir)
     truth = load_truth_dir(config.truth_dir)
     anomalies: list[AnomalyRecord] = []
     if config.anomalies_file is not None:
@@ -314,15 +309,16 @@ def _write_peak_errors(subs: SubmissionSet, truth: TruthStore, peaks,
         writer = csv.writer(fh)
         writer.writerow(["model", "location", "forecast_date", "horizon",
                          "median_error", "pre_peak"])
+        median_at: dict[QuantileLevelSet, int | None] = {}  # per distinct level set
         for key in sorted(subs.forecasts):
             f = subs.forecasts[key]
-            rounded = [round(t, 10) for t in f.levels.levels]
-            if 0.5 not in rounded:
+            if f.levels not in median_at:
+                rounded = [round(t, 10) for t in f.levels.levels]
+                median_at[f.levels] = rounded.index(0.5) if 0.5 in rounded else None
+            k, y = median_at[f.levels], final.get((key.location, key.target_end_date))
+            if k is None or y is None or y < 0:
                 continue
-            y = final.get((key.location, key.target_end_date))
-            if y is None or y < 0:
-                continue
-            median = f.values[rounded.index(0.5)]
+            median = f.values[k]
             pre_peak = (key.location, key.forecast_date + WEEK) in peak_weeks
             writer.writerow([key.model_id, key.location,
                              key.forecast_date.isoformat(), key.horizon,

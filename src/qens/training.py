@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -49,14 +48,12 @@ class ThetaGrid:
             if not lo < hi:
                 raise ConfigError("theta grid must be strictly increasing")
 
-    def feasible(self, rwis: Mapping[str, float], max_weight: float) -> list[float]:
-        """Grid values whose sigmoid weights respect the max-weight cap."""
-        out = []
-        for theta in self.values:
-            w = sigmoid_weights(rwis, theta)
-            if max(w.weights.values()) <= max_weight * (1.0 + 1e-12):
-                out.append(theta)
-        return out
+    def feasible(self, rwis: Mapping[str, float], max_weight: float) -> tuple[list, np.ndarray]:
+        """Grid values whose sigmoid weights respect the max-weight cap, and
+        those weights: one row per value, columns in sorted model order."""
+        w = _sigmoid_rows(rwis, self.values)
+        keep = w.max(axis=1) <= max_weight * (1.0 + 1e-12)
+        return [t for t, ok in zip(self.values, keep) if ok], w[keep]
 
 
 @dataclass
@@ -186,20 +183,22 @@ def window_score_table(records: Sequence[WindowRecord], levels: QuantileLevelSet
     return table
 
 
+def _sigmoid_rows(rwis: Mapping[str, float], thetas: Sequence[float]) -> np.ndarray:
+    """Softmax of -theta * relative WIS, one row per theta, sorted model columns."""
+    scores = np.array([rwis[m] for m in sorted(rwis)], dtype=float)
+    if not scores.size:
+        raise DataError("sigmoid weights need at least one model")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("relative WIS values must be finite")
+    expz = np.exp(-np.array(thetas, dtype=float)[:, None] * (scores - scores.min()))
+    return expz / expz.sum(axis=1, keepdims=True)
+
+
 def sigmoid_weights(rwis: Mapping[str, float], theta: float) -> WeightVector:
     """Softmax of -theta * relative WIS; theta = 0 gives equal weights."""
     if theta < 0:
         raise ConfigError("theta must be nonnegative")
-    models = sorted(rwis)
-    if not models:
-        raise DataError("sigmoid weights need at least one model")
-    scores = np.array([rwis[m] for m in models], dtype=float)
-    if not np.all(np.isfinite(scores)):
-        raise DataError("relative WIS values must be finite")
-    z = -theta * (scores - scores.min())
-    expz = np.exp(z)
-    w = expz / expz.sum()
-    return WeightVector({m: float(v) for m, v in zip(models, w)})
+    return WeightVector(dict(zip(sorted(rwis), _sigmoid_rows(rwis, [theta])[0].tolist())))
 
 
 def select_top_k(rwis: Mapping[str, float], k: int) -> list[str]:
@@ -210,27 +209,33 @@ def select_top_k(rwis: Mapping[str, float], k: int) -> list[str]:
     return sorted(ranked[:k])
 
 
-def window_objective(records: Sequence[WindowRecord], w: WeightVector,
-                     combiner: str, levels: QuantileLevelSet,
-                     level_index: int | None = None) -> float:
-    """Summed ensemble WIS over the window (one level's terms when indexed).
+def window_objective(records: Sequence[WindowRecord], models: Sequence[str],
+                     weights: np.ndarray, combiner: str, levels: QuantileLevelSet,
+                     level_index: int | None = None) -> np.ndarray:
+    """Summed ensemble WIS over the window for each candidate weight vector.
 
-    Mirrors forecast emission exactly: the same kernel call on the record's
-    components, zero flooring and level monotonization. Records with no
-    weight on their components are skipped.
+    `weights` holds one candidate per row (T, M), columns in `models` order;
+    returns the (T,) window totals (one level's terms when indexed). Mirrors
+    forecast emission exactly: one kernel call per record for all rows, zero
+    flooring, level monotonization. Rows with no weight on a record skip it.
     """
-    total = 0.0
+    # level k's term needs only levels 0..k (monotonization runs upward); two
+    # at least, as numpy sums a lone column pairwise, moving the mean an ulp
+    stop = None if level_index is None else max(level_index + 1, 2)
+    column = {m: i for i, m in enumerate(models)}  # other models: zero column
+    padded = np.concatenate([weights, np.zeros((len(weights), 1))], axis=1)
+    totals = np.zeros(len(weights))
     for rec in records:
-        models = sorted(rec.values)
-        weights = np.array([w.weights.get(m, 0.0) for m in models])
-        if not weights.any():
-            continue
-        q = combine_values(np.array([rec.values[m] for m in models]), weights,
-                           combiner)
-        q = np.maximum.accumulate(np.maximum(q, 0.0))
-        terms = wis_terms(levels.levels, q, rec.y)
-        total += float(terms.mean() if level_index is None else terms[level_index])
-    return total
+        ms = sorted(rec.values)
+        w = padded[:, [column.get(m, -1) for m in ms]]
+        live = w.any(axis=1)
+        if live.any():
+            values = np.array([rec.values[m] for m in ms])[:, :stop]
+            q = combine_values(values, w[live, :, None], combiner)
+            q = np.maximum.accumulate(np.maximum(q, 0.0), axis=-1)
+            terms = wis_terms(levels.levels[:stop], q, rec.y)
+            totals[live] += terms.mean(axis=-1) if level_index is None else terms[:, level_index]
+    return totals
 
 
 def fit_theta(window: TrainingWindow, rwis: Mapping[str, float],
@@ -244,21 +249,16 @@ def fit_theta(window: TrainingWindow, rwis: Mapping[str, float],
     grid = grid or default_theta_grid()
     if not window.records:
         raise DataError("training window holds no scorable forecasts")
-    feasible = grid.feasible(rwis, spec.max_weight)
+    feasible, weights = grid.feasible(rwis, spec.max_weight)
     if not feasible:
         raise ConfigError(
             f"no feasible theta under max_weight={spec.max_weight} "
             f"(smallest uniform weight is {1.0 / len(rwis):.4f})")
-    best_theta = None
-    best_obj = math.inf
-    best_w = None
-    for theta in feasible:
-        w = sigmoid_weights(rwis, theta)
-        obj = window_objective(window.records, w, spec.combiner, window.levels,
-                               level_index=level_index)
-        if obj < best_obj:
-            best_theta, best_obj, best_w = theta, obj, w
-    return best_theta, best_w
+    models = sorted(rwis)
+    totals = window_objective(window.records, models, weights, spec.combiner,
+                              window.levels, level_index=level_index).tolist()
+    best = min(range(len(totals)), key=totals.__getitem__)  # first of the minima
+    return feasible[best], WeightVector(dict(zip(models, weights[best].tolist())))
 
 
 def convex_weights(records: Sequence[WindowRecord], models: Sequence[str],

@@ -291,3 +291,40 @@ class TestCombineValuesKernel:
             v, w = values[:, col], weights[:, col]
             expected = sum(x * y for x, y in zip(v, w)) / sum(w)
             assert mean[col] == pytest.approx(expected, abs=1e-12)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_rows_equal_unbatched_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        t = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 31))  # past 8 rows, where numpy sums pairwise
+        k = int(rng.choice([1, 2, 3, 7, 23]))
+        if rng.random() < 0.5:
+            values = rng.integers(-3, 4, size=(m, k)) * 10.0  # many ties
+        else:
+            values = rng.uniform(-50, 50, size=(m, k))
+        per_level = rng.random() < 0.5
+        raw = rng.uniform(0.0, 1.0, size=(t, m, k if per_level else 1))
+        raw[rng.random(raw.shape) < 0.4] = 0.0
+        if rng.random() < 0.3:
+            raw[rng.integers(0, t), rng.integers(0, m)] = 0.0  # a row-wide zero
+        # every weight row keeps some mass at every level
+        for row in range(t):
+            for col in range(raw.shape[2]):
+                if not raw[row, :, col].any():
+                    raw[row, rng.integers(0, m), col] = rng.uniform(0.1, 1.0)
+        if rng.random() < 0.3:
+            raw[:, rng.integers(0, m)] = 1e-320  # subnormal weights
+        for method, interpolate in (("mean", True), ("median", True),
+                                    ("median", False)):
+            batched = combine_values(values, raw, method, interpolate)
+            assert batched.shape == (t, k)
+            for row in range(t):
+                single = raw[row] if per_level else raw[row, :, 0]
+                expected = combine_values(values, single, method, interpolate)
+                assert batched[row].tobytes() == expected.tobytes()
+
+    def test_batch_with_a_massless_row_rejected(self):
+        weights = np.array([[[1.0], [0.0]], [[0.0], [0.0]]])
+        with pytest.raises(DataError):
+            combine_values(np.ones((2, 3)), weights, "median")

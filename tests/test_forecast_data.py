@@ -11,6 +11,7 @@ from qens import (DataError, DuplicateCellError, ForecastKey, ParseError,
                   load_forecasts, load_truth_dir, save_forecasts,
                   save_truth_dir, weekly_increments)
 from qens.forecast import WEEK
+from qens.reporting import load_forecast_dir
 
 from conftest import make_forecast, sat, submission_set
 
@@ -197,7 +198,7 @@ class TestForecastCSV:
         ])
         path = tmp_path / "f.csv"
         save_forecasts(subs, path)
-        loaded = load_forecasts(path, three)
+        loaded = load_forecasts(path)
         assert loaded.models() == ["a", "b"]
         for key, f in subs.forecasts.items():
             assert loaded.forecasts[key].values == f.values
@@ -232,6 +233,27 @@ class TestForecastCSV:
             "m,2021-01-02,loc,2021-01-09,quantile,0.5,11\n")
         with pytest.raises(DuplicateCellError):
             load_forecasts(path)
+
+    def test_directory_files_each_forecast_once(self, tmp_path, three, monkeypatch):
+        for m in ("a", "b"):
+            save_forecasts(submission_set([
+                make_forecast(m, "x", sat(0), h, three, [1.0, 2.0, 3.0])
+                for h in (1, 2, 3, 4)]), tmp_path / f"{m}.csv")
+        added = []
+        original = SubmissionSet.add
+        monkeypatch.setattr(SubmissionSet, "add",
+                            lambda self, f: (added.append(f.key), original(self, f)))
+        subs = load_forecast_dir(tmp_path)
+        assert subs.models() == ["a", "b"] and len(subs) == 8
+        assert sorted(added) == sorted(subs.forecasts)
+
+    def test_forecast_in_two_directory_files_rejected(self, tmp_path, three):
+        subs = submission_set([make_forecast("a", "x", sat(0), 1, three,
+                                             [1.0, 2.0, 3.0])])
+        save_forecasts(subs, tmp_path / "first.csv")
+        save_forecasts(subs, tmp_path / "second.csv")
+        with pytest.raises(DataError, match="duplicate forecast"):
+            load_forecast_dir(tmp_path)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "f.csv"

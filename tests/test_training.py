@@ -51,14 +51,14 @@ class TestThetaGrid:
         rwis = {"a": 0.5, "b": 1.0, "c": 1.5}
         grid = ThetaGrid((0.0, 1.0, 10.0))
         # theta=0 gives weight 1/3 <= 0.34; larger theta concentrates past it
-        feasible = grid.feasible(rwis, max_weight=0.34)
+        feasible, _ = grid.feasible(rwis, max_weight=0.34)
         assert feasible == [0.0]
-        assert grid.feasible(rwis, max_weight=1.0) == [0.0, 1.0, 10.0]
+        assert grid.feasible(rwis, max_weight=1.0)[0] == [0.0, 1.0, 10.0]
 
     def test_cap_at_uniform_weight(self):
         # max_weight exactly 1/M keeps only theta=0 for distinct rwis
         rwis = {"a": 0.5, "b": 1.0, "c": 1.5, "d": 2.0}
-        feasible = default_theta_grid().feasible(rwis, max_weight=0.25)
+        feasible, _ = default_theta_grid().feasible(rwis, max_weight=0.25)
         assert feasible == [0.0]
 
 
@@ -114,7 +114,9 @@ class TestWindowObjective:
         window = window_from(vals, rng.uniform(5, 15, size=8), three)
         w = WeightVector({"a": 0.5, "b": 0.3, "c": 0.2})
         for combiner in ("mean", "median"):
-            got = window_objective(window.records, w, combiner, three)
+            got = window_objective(window.records, w.models(),
+                                   np.array([[w[m] for m in w.models()]]),
+                                   combiner, three)[0]
             expected = 0.0
             for rec in window.records:
                 models = sorted(rec.values)
@@ -124,6 +126,86 @@ class TestWindowObjective:
                 q = np.maximum.accumulate(np.maximum(q, 0.0))
                 expected += float(wis_terms(three.levels, q, rec.y).mean())
             assert got == pytest.approx(expected, abs=1e-12)
+
+
+def scalar_objectives(records, rwis, thetas, combiner, levels, level_index=None):
+    """Window totals one theta at a time, written as the per-theta search."""
+    totals = []
+    for theta in thetas:
+        w = sigmoid_weights(rwis, theta)
+        total = 0.0
+        for rec in records:
+            models = sorted(rec.values)
+            weights = np.array([w.weights.get(m, 0.0) for m in models])
+            if not weights.any():
+                continue
+            q = combine_values(np.array([rec.values[m] for m in models]), weights,
+                               combiner)
+            q = np.maximum.accumulate(np.maximum(q, 0.0))
+            terms = wis_terms(levels.levels, q, rec.y)
+            total += float(terms.mean() if level_index is None else terms[level_index])
+        totals.append(total)
+    return totals
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize("combiner", ["mean", "median"])
+    def test_underflowing_weights_match_scalar_oracle(self, three, combiner):
+        # theta * (rel WIS gap) reaches 30 * 29.9 > 745 at the top of the grid,
+        # so exp underflows: "b", then also "c", get weight 0.0 there, and the
+        # records that hold only "b", "c" and the unranked "z" are skipped for
+        # those rows only
+        rng = np.random.default_rng(3)
+        def vals(i):
+            models = "bcz" if i % 3 == 0 else "abcz"
+            return {m: np.sort(rng.uniform(0, 40, size=3)) for m in models}
+        window = window_from(vals, rng.uniform(10, 30, size=12), three)
+        rwis = {"a": 0.1, "b": 30.0, "c": 26.0}
+        grid = default_theta_grid()
+        feasible, weights = grid.feasible(rwis, 1.0)
+        skipped = ~weights[:, 1:].any(axis=1)
+        assert skipped.any() and not skipped.all()
+        assert ((weights[:, 1] == 0.0) & (weights[:, 2] > 0.0)).any()
+
+        totals = window_objective(window.records, ["a", "b", "c"], weights,
+                                  combiner, three)
+        oracle = scalar_objectives(window.records, rwis, feasible, combiner, three)
+        assert totals.tolist() == oracle
+        best = oracle.index(min(oracle))
+        assert len(set(oracle)) > 1
+        spec = EnsembleSpec(name="t", combiner=combiner, weighting="rel_wis_sigmoid")
+        theta, w = fit_theta(window, rwis, spec, grid)
+        assert theta == feasible[best]
+        assert w.weights == sigmoid_weights(rwis, theta).weights
+
+    @pytest.mark.parametrize("combiner", ["mean", "median"])
+    def test_level_objective_equals_full_levels_objective(self, seven, combiner):
+        # twelve components: past the eight at which numpy sums one column pairwise
+        rng = np.random.default_rng(8)
+        models = [f"m{i:02d}" for i in range(12)]
+        def vals(i):
+            return {m: np.sort(rng.uniform(0, 60, size=7)) for m in models}
+        window = window_from(vals, rng.uniform(10, 50, size=6), seven)
+        rwis = {m: float(v) for m, v in zip(models, rng.uniform(0.5, 2.0, size=12))}
+        feasible, weights = default_theta_grid().feasible(rwis, 1.0)
+        for k in range(seven.K):
+            totals = window_objective(window.records, models, weights, combiner,
+                                      seven, level_index=k)
+            oracle = scalar_objectives(window.records, rwis, feasible, combiner,
+                                       seven, level_index=k)
+            assert totals.tolist() == oracle
+
+    def test_one_objective_call_per_fit(self, three, monkeypatch):
+        def vals(i):
+            return {m: (4.0 + i, 5.0 + i, 6.0 + 2 * i) for m in "abc"}
+        window = window_from(vals, [5.0] * 4, three)
+        calls = []
+        original = training.window_objective
+        monkeypatch.setattr(training, "window_objective",
+                            lambda *a, **kw: (calls.append(1), original(*a, **kw))[1])
+        spec = EnsembleSpec(name="t", weighting="rel_wis_sigmoid")
+        fit_theta(window, {"a": 0.5, "b": 1.0, "c": 1.5}, spec)
+        assert len(calls) == 1
 
 
 class TestFitTheta:
@@ -388,7 +470,8 @@ class TestEmissionMatchesKernel:
             record = WindowRecord(k.location, k.forecast_date, k.target_end_date,
                                   k.horizon, 1.0,
                                   {m: tuple(v) for m, v in zip(avail, values)})
-            window_objective([record], w, combiner, three)
+            window_objective([record], w.models(),
+                             np.array([[w[m] for m in w.models()]]), combiner, three)
             assert scored[-1].tobytes() == np.array(f.values).tobytes()
 
     @pytest.mark.parametrize("combiner", ["mean", "median"])
