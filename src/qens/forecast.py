@@ -12,6 +12,7 @@ Conventions: forecast dates and target end dates are both week-ending
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import math
@@ -131,31 +132,38 @@ class TruthStore:
 
     def __init__(self, snapshots: Mapping[dt.date, Mapping[tuple[str, dt.date], float]]):
         self._snapshots = {d: dict(s) for d, s in sorted(snapshots.items())}
+        self._dates = list(self._snapshots)
+        # snapshot date -> location -> sorted series, built on first use
+        self._series: dict[dt.date, dict[str, list[tuple[dt.date, float]]]] = {}
 
     @property
     def snapshot_dates(self) -> tuple[dt.date, ...]:
-        return tuple(self._snapshots)
+        return tuple(self._dates)
+
+    def _applicable(self, as_of: dt.date) -> dt.date | None:
+        """Date of the latest snapshot dated on or before `as_of`."""
+        i = bisect.bisect_right(self._dates, as_of)
+        return self._dates[i - 1] if i else None
 
     def snapshot(self, as_of: dt.date) -> dict[tuple[str, dt.date], float]:
         """The latest snapshot dated on or before `as_of`; empty when none."""
-        chosen: dict[tuple[str, dt.date], float] = {}
-        for d, snap in self._snapshots.items():
-            if d <= as_of:
-                chosen = snap
-            else:
-                break
-        return chosen
+        d = self._applicable(as_of)
+        return {} if d is None else self._snapshots[d]
 
     def as_of(self, as_of: dt.date, location: str) -> list[tuple[dt.date, float]]:
         """Series of (target_end_date, value) from the applicable snapshot."""
-        snap = self.snapshot(as_of)
-        series = [(t, v) for (loc, t), v in snap.items() if loc == location]
-        return sorted(series)
+        d = self._applicable(as_of)
+        if d is None:
+            return []
+        if d not in self._series:
+            by_location: dict[str, list[tuple[dt.date, float]]] = {}
+            for (loc, t), v in sorted(self._snapshots[d].items()):
+                by_location.setdefault(loc, []).append((t, v))
+            self._series[d] = by_location
+        return list(self._series[d].get(location, ()))
 
     def latest(self) -> dict[tuple[str, dt.date], float]:
-        if not self._snapshots:
-            return {}
-        return self._snapshots[max(self._snapshots)]
+        return self._snapshots[self._dates[-1]] if self._dates else {}
 
 
 def weekly_increments(series: Iterable[tuple[dt.date, float]]) -> list[tuple[dt.date, float]]:

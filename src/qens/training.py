@@ -88,6 +88,10 @@ class EnsembleSpec:
             raise ConfigError(f"unknown rWIS aggregation {self.rwis_aggregation!r}")
         if not 0.0 < self.max_weight <= 1.0:
             raise ConfigError("max_weight must be in (0, 1]")
+        if self.weighting in ("convex_direct", "post_hoc") and self.max_weight < 1.0:
+            # the convex fit has no weight cap, so a cap would be ignored
+            raise ConfigError(f"max_weight < 1 is not supported for "
+                              f"{self.weighting!r} weighting")
         if self.top_k is not None:
             if self.top_k < 1:
                 raise ConfigError("top_k must be >= 1")
@@ -285,18 +289,19 @@ def convex_weights(records: Sequence[WindowRecord], models: Sequence[str],
         Q = Q[:, :, level_index:level_index + 1]
         taus = taus[level_index:level_index + 1]
 
+    R, _, K = Q.shape
+    y_col, tau_row = y[:, None], taus[None, :]
+
     def objective_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
         q_ens = np.einsum("m,rmk->rk", w, Q)
-        indicator = (y[:, None] <= q_ens).astype(float)
-        terms = 2.0 * (indicator - taus[None, :]) * (q_ens - y[:, None])
-        obj = float(terms.mean(axis=1).mean())
-        grad_terms = 2.0 * (indicator - taus[None, :])  # subgradient
-        grad = np.einsum("rk,rmk->m", grad_terms, Q) / (Q.shape[0] * Q.shape[2])
+        g = 2.0 * ((y_col <= q_ens).astype(float) - tau_row)  # subgradient terms
+        obj = float(np.add.reduce(np.add.reduce(g * (q_ens - y_col), axis=1) / K) / R)
+        grad = np.einsum("rk,rmk->m", g, Q) / (R * K)
         return obj, grad
 
     w = np.full(len(models), 1.0 / len(models))
     obj, grad = objective_and_grad(w)
-    best_w, best_obj = w.copy(), obj
+    best_w, best_obj, best_grad = w.copy(), obj, grad
     scale = float(np.max(np.abs(grad)))
     if scale == 0.0:
         return WeightVector(dict(zip(models, w)))
@@ -307,14 +312,13 @@ def convex_weights(records: Sequence[WindowRecord], models: Sequence[str],
         w /= w.sum()
         obj, grad = objective_and_grad(w)
         if obj < best_obj - tol:
-            best_w, best_obj = w.copy(), obj
+            best_w, best_obj, best_grad = w.copy(), obj, grad
             stall = 0
         else:
             stall += 1
             if stall >= 20:
                 eta *= 0.5
-                w = best_w.copy()
-                _, grad = objective_and_grad(w)
+                w, grad = best_w.copy(), best_grad
                 stall = 0
                 if eta < 1e-14 / scale:
                     break

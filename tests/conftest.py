@@ -133,3 +133,119 @@ def random_quantile_values(rng: np.random.Generator, k: int,
     steps = rng.uniform(0.05, 1.0, size=k) * scale / k
     start = rng.uniform(0.0, scale)
     return start + np.cumsum(steps)
+
+
+def oracle_baseline_values(values, levels: QuantileLevelSet, seed: int = 0,
+                           support_cap: int = 10 ** 6,
+                           mc_paths: int = 10 ** 5) -> list[np.ndarray]:
+    """Random-walk baseline quantiles at horizons 1-4, the sorting way.
+
+    Every convolution step merges the sorted pairwise sums with `np.unique`,
+    and each level is read separately: a `cumsum` of the counts and a search
+    for the j-th order statistic. Monte Carlo samples are sorted and read per
+    level as plain type-7 sample quantiles. Same bail-out rules, seeds and
+    flooring as the library, so results must agree bit for bit.
+    """
+    values = [float(v) for v in values]
+    diffs = np.diff(np.asarray(values))
+    diffs = np.concatenate([diffs, -diffs])
+    n = diffs.size
+    offsets: dict[int, list[float]] = {}
+    support, counts, total = np.array([0.0]), np.array([1], dtype=np.int64), 1
+    for h in range(1, 5):
+        if support is not None:
+            if support.size * n > max(4 * support_cap, 10 ** 7):
+                support = None
+            else:
+                sums = (support[:, None] + diffs[None, :]).ravel()
+                support, inverse = np.unique(sums, return_inverse=True)
+                merged = np.zeros(support.size, dtype=np.int64)
+                np.add.at(merged, inverse, np.repeat(counts, n))
+                counts, total = merged, total * n
+                if support.size > support_cap:
+                    support = None
+        if support is not None:
+            offsets[h] = []
+            for p in levels.levels:
+                hh = (total - 1) * p + 1.0
+                j = math.floor(hh)
+                gamma = hh - j
+                cum = np.cumsum(counts)
+                idx = int(np.searchsorted(cum, j))
+                if gamma == 0.0 or j >= total:
+                    offsets[h].append(float(support[idx]))
+                else:
+                    nxt = idx if cum[idx] >= j + 1 else idx + 1
+                    offsets[h].append(float(support[idx] + gamma
+                                            * (support[nxt] - support[idx])))
+            continue
+        rng = np.random.default_rng(seed)
+        paths = rng.choice(diffs, size=(mc_paths, 4)).cumsum(axis=1)
+        for hh in range(h, 5):
+            x = np.sort(paths[:, hh - 1])
+            offsets[hh] = []
+            for p in levels.levels:
+                pos = (mc_paths - 1) * p + 1.0
+                j = min(math.floor(pos), mc_paths)
+                offsets[hh].append(float(x[-1]) if j >= mc_paths else
+                                   float(x[j - 1] + (pos - j) * (x[j] - x[j - 1])))
+        break
+    last = values[-1]
+    return [np.maximum.accumulate(np.maximum(last + np.array(offsets[h]), 0.0))
+            for h in range(1, 5)]
+
+
+def oracle_convex_weights(records, models, levels: QuantileLevelSet,
+                          level_index=None, max_iter: int = 10_000,
+                          tol: float = 1e-8) -> dict[str, float]:
+    """Exponentiated-gradient convex weights, written out step by step.
+
+    Objective and subgradient are recomputed from scratch at every
+    evaluation, including after each step-halving reset, with the mean
+    pinball loss taken by `.mean()`. The library's loop must return the same
+    weights bit for bit.
+    """
+    models = sorted(models)
+    full = [r for r in records if all(m in r.values for m in models)]
+    Q = np.array([[r.values[m] for m in models] for r in full])
+    y = np.array([r.y for r in full])
+    taus = np.array(levels.levels)
+    if level_index is not None:
+        Q = Q[:, :, level_index:level_index + 1]
+        taus = taus[level_index:level_index + 1]
+
+    def objective_and_grad(w):
+        q_ens = np.einsum("m,rmk->rk", w, Q)
+        indicator = (y[:, None] <= q_ens).astype(float)
+        terms = 2.0 * (indicator - taus[None, :]) * (q_ens - y[:, None])
+        obj = float(terms.mean(axis=1).mean())
+        grad_terms = 2.0 * (indicator - taus[None, :])
+        grad = np.einsum("rk,rmk->m", grad_terms, Q) / (Q.shape[0] * Q.shape[2])
+        return obj, grad
+
+    w = np.full(len(models), 1.0 / len(models))
+    obj, grad = objective_and_grad(w)
+    best_w, best_obj = w.copy(), obj
+    scale = float(np.max(np.abs(grad)))
+    if scale == 0.0:
+        return dict(zip(models, w.tolist()))
+    eta = 0.5 / scale
+    stall = 0
+    for _ in range(max_iter):
+        w = w * np.exp(-eta * grad)
+        w /= w.sum()
+        obj, grad = objective_and_grad(w)
+        if obj < best_obj - tol:
+            best_w, best_obj = w.copy(), obj
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 20:
+                eta *= 0.5
+                w = best_w.copy()
+                _, grad = objective_and_grad(w)
+                stall = 0
+                if eta < 1e-14 / scale:
+                    break
+    best_w = best_w / best_w.sum()
+    return {m: float(v) for m, v in zip(models, best_w)}

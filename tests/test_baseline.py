@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qens import DataError, QuantileLevelSet, baseline_forecast
+from qens import baseline
 from qens.baseline import difference_multiset, sample_quantile_type7
 
-from conftest import sat
+from conftest import oracle_baseline_values, sat
+
+LEVEL_SETS = (QuantileLevelSet.seven(), QuantileLevelSet(
+    (0.01, 0.025) + tuple(round(0.05 * i, 10) for i in range(1, 19)) + (0.95, 0.975, 0.99)))
 
 
 def history(values, start=0):
@@ -127,3 +132,75 @@ class TestBaselineForecast:
         assert out[0].key.location == "here"
         assert out[0].key.forecast_date == sat(4)
         assert [f.key.horizon for f in out] == [1, 2, 3, 4]
+
+
+def assert_matches_oracle(values, levels, **kwargs):
+    out = baseline_forecast(history(values), levels, seed=11, **kwargs)
+    expected = oracle_baseline_values(values, levels, seed=11, **kwargs)
+    for f, want in zip(out, expected):
+        assert np.array(f.values).tobytes() == want.tobytes()
+
+
+@st.composite
+def small_step_walks(draw):
+    """Integer walks whose steps stay below the history length, so every
+    convolution step fits the offset grid."""
+    n = draw(st.integers(2, 40))
+    start = draw(st.integers(-50, 1000))
+    steps = draw(st.lists(st.integers(-(n - 2), n - 2), min_size=n - 1,
+                          max_size=n - 1))
+    return list(start + np.concatenate([[0], np.cumsum(steps)]))
+
+
+class TestBaselineAgainstSortingOracle:
+    """The sort-free convolution and single read-out against the np.unique
+    convolution with per-level type-7 reads, compared byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.integers(-300, 3000), min_size=2, max_size=30),
+           levels=st.sampled_from(LEVEL_SETS))
+    @example(values=[10, 2], levels=LEVEL_SETS[0])
+    @example(values=[5, 5, 5, 5], levels=LEVEL_SETS[1])
+    @example(values=[0, 0, 3, 3, 3, -2, 0], levels=LEVEL_SETS[0])
+    def test_integer_histories(self, values, levels):
+        assert_matches_oracle(values, levels)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.floats(-100.0, 5000.0, allow_nan=False),
+                           min_size=2, max_size=12),
+           levels=st.sampled_from(LEVEL_SETS))
+    @example(values=[1.5, 2.25], levels=LEVEL_SETS[0])
+    def test_non_integer_histories(self, values, levels):
+        assert_matches_oracle(values, levels)
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=st.lists(st.integers(0, 500), min_size=2, max_size=30),
+           support_cap=st.sampled_from([1, 4, 60]))
+    def test_monte_carlo(self, values, support_cap):
+        assert_matches_oracle(values, LEVEL_SETS[0], support_cap=support_cap,
+                              mc_paths=999)
+
+    @pytest.mark.parametrize("values", [
+        [0, 10 ** 6, 3, 10 ** 6 + 7, 12],  # bin span above the pairwise-sum count
+        [0, 1] * 2500 + [0],  # 10,000 differences: 10**16 paths at h = 4
+    ], ids=["span", "total"])
+    def test_guards_fall_back_to_sorting(self, values, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(baseline.np, "unique",
+                            lambda *a, **k: calls.append(1) or unique(*a, **k))
+        assert_matches_oracle(values, LEVEL_SETS[1])
+        assert calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=small_step_walks(), levels=st.sampled_from(LEVEL_SETS))
+    def test_integer_path_never_sorts(self, values, levels):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integer history fell back to np.unique")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baseline.np, "unique", refuse)
+            out = baseline_forecast(history(values), levels, seed=11)
+        expected = oracle_baseline_values(values, levels, seed=11)
+        for f, want in zip(out, expected):
+            assert np.array(f.values).tobytes() == want.tobytes()

@@ -260,6 +260,24 @@ class TestBadInputExitCodes:
         assert "Traceback" not in done.stderr
         assert f"data error: line {line}:" in done.stderr
 
+    def test_capped_convex_spec_is_config_error(self, sim_dir, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "forecast_dir": str(sim_dir / "forecasts.csv"),
+            "truth_dir": str(sim_dir / "truth"),
+            "output_dir": str(tmp_path / "report"),
+            "specs": [{"name": "c", "combiner": "mean",
+                       "weighting": "convex_direct", "max_weight": 0.5}],
+        }))
+        done = subprocess.run([sys.executable, "-m", "qens.cli", "backtest",
+                               "--config", str(config)], capture_output=True,
+                              text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "max_weight" in done.stderr
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda c: {**c, "prospective_start": "2020-99-01"},
         lambda c: {**c, "baseline_seed": "x"},

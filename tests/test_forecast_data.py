@@ -4,6 +4,7 @@ import datetime as dt
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qens import (DataError, DuplicateCellError, ForecastKey, ParseError,
                   QuantileForecast, QuantileLevelSet, SubmissionSet,
@@ -77,7 +78,37 @@ class TestQuantileForecast:
             QuantileForecast(key, three, (1.0, 2.0))
 
 
+def scan_snapshot(snapshots, as_of):
+    """The latest snapshot dated on or before as_of, by scanning every date."""
+    dates = [d for d in snapshots if d <= as_of]
+    return snapshots[max(dates)] if dates else {}
+
+
+# (snapshot week, location, target week, value) in any order; later entries
+# for the same cell overwrite earlier ones
+truth_cells = st.lists(st.tuples(st.integers(0, 8), st.sampled_from("abc"),
+                                 st.integers(-3, 8),
+                                 st.floats(-50, 500, allow_nan=False)),
+                       max_size=40)
+
+
 class TestTruthStore:
+    @settings(max_examples=100, deadline=None)
+    @given(cells=truth_cells, queries=st.lists(st.integers(-2, 11), max_size=8))
+    def test_lookups_match_scans(self, cells, queries):
+        # query weeks fall before the first snapshot, on and between
+        # snapshots, and after the last
+        snapshots = {}
+        for week, loc, target, value in cells:
+            snapshots.setdefault(sat(week), {})[(loc, sat(target))] = value
+        store = TruthStore(snapshots)
+        for q in queries + queries[::-1]:  # repeats read the built index
+            snap = scan_snapshot(snapshots, sat(q))
+            assert store.snapshot(sat(q)) == snap
+            for loc in "abcd":
+                assert store.as_of(sat(q), loc) == sorted(
+                    (t, v) for (l, t), v in snap.items() if l == loc)
+
     def make_store(self):
         return TruthStore({
             sat(1): {("loc", sat(0)): 10.0, ("loc", sat(1)): 20.0},

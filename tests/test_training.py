@@ -17,7 +17,8 @@ from qens.scoring import wis_terms
 from qens.training import (ThetaGrid, TrainingWindow, WindowRecord,
                            post_hoc_weights, window_score_table)
 
-from conftest import make_forecast, sat, submission_set
+from conftest import (make_forecast, oracle_convex_weights, sat,
+                      submission_set)
 
 
 class TestEnsembleSpec:
@@ -38,6 +39,13 @@ class TestEnsembleSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             EnsembleSpec.from_dict({"name": "x", "bogus": 1})
+
+    @pytest.mark.parametrize("weighting", ["convex_direct", "post_hoc"])
+    def test_cap_on_convex_fit_rejected(self, weighting):
+        # the convex fit has no weight cap; a cap must not be silently ignored
+        with pytest.raises(ConfigError, match="max_weight"):
+            EnsembleSpec(name="c", weighting=weighting, max_weight=0.5)
+        assert EnsembleSpec(name="c", weighting=weighting, max_weight=1.0).max_weight == 1.0
 
 
 class TestThetaGrid:
@@ -253,6 +261,29 @@ class TestFitTheta:
 
 
 class TestConvexWeights:
+    @pytest.mark.parametrize("k", [1, 3, 7, 23])
+    def test_matches_step_by_step_oracle(self, k):
+        # bit-identical weights on random windows, whole and per level
+        rng = np.random.default_rng(k)
+        levels = (QuantileLevelSet((0.5,)) if k == 1 else
+                  QuantileLevelSet(tuple(np.round(np.linspace(0.05, 0.95, k), 10))))
+        for trial in range(8):
+            models = [f"m{i}" for i in range(int(rng.integers(1, 8)))]
+            records = []
+            for i in range(int(rng.integers(3, 16))):
+                y = float(rng.uniform(0, 200))
+                values = {m: np.sort(rng.uniform(0, 250, size=k)) for m in models}
+                if trial % 2:  # integer counts, ties between components likely
+                    y, values = round(y), {m: np.round(v / 10) * 10
+                                           for m, v in values.items()}
+                records.append(WindowRecord("loc", sat(i), sat(i + 1), 1, y,
+                                            {m: tuple(v) for m, v in values.items()}))
+            level_index = int(rng.integers(k)) if trial % 4 >= 2 else None
+            got = convex_weights(records, models, levels, level_index=level_index)
+            want = oracle_convex_weights(records, models, levels, level_index=level_index)
+            assert {m: v.hex() for m, v in got.weights.items()} == \
+                {m: v.hex() for m, v in want.items()}
+
     def test_perfect_component_dominates(self, three):
         rng = np.random.default_rng(10)
         records = []
