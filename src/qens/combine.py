@@ -84,7 +84,7 @@ def combine_values(values: np.ndarray, weights: np.ndarray, method: str,
         raise DataError("no weight mass on available components")
     w = w / total
     if method == "mean":
-        return (w * values).sum(axis=-2)
+        return (w * values).cumsum(axis=-2)[..., -1, :]  # sequential for every K
 
     # Zero-weight entries sort last (as NaN), after the n positive ones.
     w = np.broadcast_to(w, w.shape[:-2] + values.shape)

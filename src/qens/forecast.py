@@ -16,14 +16,16 @@ import bisect
 import csv
 import datetime as dt
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DuplicateCellError, DataError, ParseError, ValidationError
 
 WEEK = dt.timedelta(days=7)
 HORIZONS = (1, 2, 3, 4)
+_HORIZON_DAYS = frozenset(7 * h for h in HORIZONS)
 
 FORECAST_CSV_HEADER = [
     "model", "forecast_date", "location", "target_end_date",
@@ -78,22 +80,30 @@ class QuantileLevelSet:
         raise ValidationError(f"no preset level set with {count} levels")
 
 
-@dataclass(frozen=True, order=True)
-class ForecastKey:
-    """Identity of one quantile forecast: who, where, when issued, and for when."""
-
+class _KeyFields(NamedTuple):  # a NamedTuple may not define __new__; ForecastKey does
     model_id: str
     location: str
     forecast_date: dt.date
     target_end_date: dt.date
 
-    def __post_init__(self):
-        days = (self.target_end_date - self.forecast_date).days
-        if days <= 0 or days % 7 != 0 or days // 7 not in HORIZONS:
+
+class ForecastKey(_KeyFields):
+    """Identity of one quantile forecast: who, where, when issued, and for when.
+
+    A named tuple, so hashing, equality and ordering (field by field) run in
+    C; construction checks the horizon.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, model_id: str, location: str, forecast_date: dt.date,
+                target_end_date: dt.date) -> "ForecastKey":
+        if (target_end_date - forecast_date).days not in _HORIZON_DAYS:
             raise ValidationError(
-                f"target {self.target_end_date} is not 1-4 whole weeks after "
-                f"forecast date {self.forecast_date}"
+                f"target {target_end_date} is not 1-4 whole weeks after "
+                f"forecast date {forecast_date}"
             )
+        return tuple.__new__(cls, (model_id, location, forecast_date, target_end_date))
 
     @property
     def horizon(self) -> int:
@@ -113,13 +123,13 @@ class QuantileForecast:
             raise ValidationError(
                 f"{self.key}: {len(self.values)} values for {self.levels.K} levels"
             )
-        if not all(math.isfinite(v) for v in self.values):
+        # C-level passes; all values are finite before the sign and order checks
+        if not all(map(math.isfinite, self.values)):
             raise ValidationError(f"{self.key}: non-finite predictive quantile")
-        if any(v < 0 for v in self.values):
+        if min(self.values) < 0:
             raise ValidationError(f"{self.key}: negative predictive quantile")
-        for lo, hi in zip(self.values, self.values[1:]):
-            if lo > hi:
-                raise ValidationError(f"{self.key}: quantiles not nondecreasing")
+        if not all(map(operator.le, self.values, self.values[1:])):
+            raise ValidationError(f"{self.key}: quantiles not nondecreasing")
 
 
 class TruthStore:
@@ -265,6 +275,8 @@ def load_forecasts(*paths: str | Path) -> SubmissionSet:
     `eligible_components`.
     """
     subs = SubmissionSet()
+    level_of: dict[str, float] = {}  # quantile text -> level, parsed once
+    level_sets: dict[tuple[float, ...], QuantileLevelSet] = {}  # one per level tuple
     for path in map(Path, paths):
         if not path.exists():
             raise DataError(f"forecast file not found: {path}")
@@ -276,14 +288,17 @@ def load_forecasts(*paths: str | Path) -> SubmissionSet:
             if header != FORECAST_CSV_HEADER:
                 raise ParseError(f"unexpected header {header!r} in {path}", 1)
             for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
-                model, fdate, loc, tdate, rtype, qlevel, value = row
+                try:
+                    model, fdate, loc, tdate, rtype, qlevel, value = row
+                except ValueError:
+                    if not row:
+                        continue
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                     lineno) from None
                 if rtype != "quantile":
                     continue
-                cached = by_raw.get((model, fdate, loc, tdate))
+                raw = (model, fdate, loc, tdate)
+                cached = by_raw.get(raw)
                 if cached is None:
                     try:
                         key = ForecastKey(model, loc, _parse_date(fdate, lineno),
@@ -291,10 +306,14 @@ def load_forecasts(*paths: str | Path) -> SubmissionSet:
                     except ValidationError as e:
                         raise ParseError(str(e), lineno) from None
                     # raw fields that parse to one key share its level dict
-                    cached = by_raw[(model, fdate, loc, tdate)] = (key, by_key.setdefault(key, {}))
+                    cached = by_raw[raw] = (key, by_key.setdefault(key, {}))
                 key, by_level = cached
+                tau = level_of.get(qlevel)
                 try:
-                    tau = round(float(qlevel), 10)
+                    if tau is None:
+                        tau = round(float(qlevel), 10)
+                        if tau == tau:  # NaN is never cached: each stays its own level
+                            level_of[qlevel] = tau
                     val = float(value)
                 except ValueError as e:
                     raise ParseError(f"bad numeric field: {e}", lineno) from None
@@ -306,8 +325,10 @@ def load_forecasts(*paths: str | Path) -> SubmissionSet:
                 by_level[tau] = val
         for key, by_level in sorted(by_key.items()):
             taus = tuple(sorted(by_level))
-            values = tuple(by_level[t] for t in taus)
-            subs.add(QuantileForecast(key, QuantileLevelSet(taus), values))
+            levels = level_sets.get(taus)
+            if levels is None:
+                levels = level_sets[taus] = QuantileLevelSet(taus)
+            subs.add(QuantileForecast(key, levels, tuple(map(by_level.__getitem__, taus))))
     return subs
 
 
@@ -323,14 +344,16 @@ def save_forecasts(subs: SubmissionSet, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FORECAST_CSV_HEADER)
+        level_text: dict[int, list[str]] = {}  # per level set, by identity
         for key in sorted(subs.forecasts):
             f = subs.forecasts[key]
-            for tau, val in zip(f.levels.levels, f.values):
-                writer.writerow([
-                    key.model_id, key.forecast_date.isoformat(), key.location,
-                    key.target_end_date.isoformat(), "quantile",
-                    _format_level(tau), repr(val),
-                ])
+            taus = level_text.get(id(f.levels))
+            if taus is None:
+                taus = level_text[id(f.levels)] = list(map(_format_level, f.levels.levels))
+            model, location = key.model_id, key.location
+            fdate, tdate = key.forecast_date.isoformat(), key.target_end_date.isoformat()
+            writer.writerows([(model, fdate, location, tdate, "quantile", tau, repr(val))
+                              for tau, val in zip(taus, f.values)])
 
 
 def load_truth_dir(path: str | Path) -> TruthStore:

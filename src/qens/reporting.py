@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .analysis import (AnomalyRecord, detect_peaks, load_anomalies,
                        revision_exclusion_set, save_peaks)
@@ -22,7 +25,7 @@ from .forecast import (HORIZONS, WEEK, QuantileForecast, QuantileLevelSet,
                        SubmissionSet, TruthStore, load_forecasts,
                        load_truth_dir, save_forecasts)
 from .scoring import (ScoreRecord, coverage_rates, relative_wis, save_rel_wis,
-                      score_table, wis)
+                      score_table, wis_terms)
 from .training import EnsembleSpec, train_and_forecast
 
 WEIGHT_LOG_HEADER = ["forecast_date", "stratum", "model", "weight", "theta", "spec_id"]
@@ -139,16 +142,31 @@ def add_baseline(subs: SubmissionSet, truth: TruthStore, dates: Sequence[dt.date
 
 def score_submissions(subs: SubmissionSet, truth: TruthStore,
                       exclusions: set | None = None) -> list[ScoreRecord]:
-    """WIS of every forecast against final truth; negative truth is dropped."""
+    """WIS of every forecast against final truth; negative truth is dropped.
+
+    Scores each level set's forecasts in one kernel call; records keep the
+    order of `subs`.
+    """
     final = truth.latest()
-    records = []
+    scorable: list[tuple[QuantileForecast, float]] = []
     for f in subs:
         if exclusions and f.key in exclusions:
             continue
         y = final.get((f.key.location, f.key.target_end_date))
         if y is None or y < 0:
             continue
-        records.append(wis(f, y))
+        scorable.append((f, y))
+    groups: dict[int, list[int]] = {}  # level sets are shared, so group by identity
+    for i, (f, _) in enumerate(scorable):
+        groups.setdefault(id(f.levels), []).append(i)
+    records: list = [None] * len(scorable)  # filled group by group, in subs order
+    for members in groups.values():
+        fs = [scorable[i][0] for i in members]
+        y = np.array([scorable[i][1] for i in members])[:, None]
+        terms = wis_terms(fs[0].levels.levels, [f.values for f in fs], y)
+        for i, f, score, per_level in zip(members, fs, terms.mean(axis=-1).tolist(),
+                                          terms.tolist()):
+            records[i] = ScoreRecord(f.key, score, tuple(per_level))
     return records
 
 
@@ -223,11 +241,15 @@ def _write_scores(records: Sequence[ScoreRecord], config: RunConfig,
         writer = csv.writer(fh)
         writer.writerow(["model", "location", "forecast_date", "target_end_date",
                          "horizon", "wis", "phase"])
-        for rec in sorted(records, key=lambda r: r.key):
+        issued: dict[dt.date, tuple[str, str]] = {}  # forecast date -> (text, phase)
+        for rec in sorted(records, key=attrgetter("key")):
             k = rec.key
-            writer.writerow([k.model_id, k.location, k.forecast_date.isoformat(),
-                             k.target_end_date.isoformat(), k.horizon,
-                             repr(rec.wis), phase_of(config, k.forecast_date)])
+            if k.forecast_date not in issued:
+                issued[k.forecast_date] = (k.forecast_date.isoformat(),
+                                           phase_of(config, k.forecast_date))
+            fdate, phase = issued[k.forecast_date]
+            writer.writerow([k.model_id, k.location, fdate, k.target_end_date.isoformat(),
+                             k.horizon, repr(rec.wis), phase])
 
 
 def save_coverage(subs: SubmissionSet, truth: TruthStore, path: Path) -> None:
@@ -309,13 +331,13 @@ def _write_peak_errors(subs: SubmissionSet, truth: TruthStore, peaks,
         writer = csv.writer(fh)
         writer.writerow(["model", "location", "forecast_date", "horizon",
                          "median_error", "pre_peak"])
-        median_at: dict[QuantileLevelSet, int | None] = {}  # per distinct level set
+        median_at: dict[int, int | None] = {}  # per level set, by identity
         for key in sorted(subs.forecasts):
             f = subs.forecasts[key]
-            if f.levels not in median_at:
+            if id(f.levels) not in median_at:
                 rounded = [round(t, 10) for t in f.levels.levels]
-                median_at[f.levels] = rounded.index(0.5) if 0.5 in rounded else None
-            k, y = median_at[f.levels], final.get((key.location, key.target_end_date))
+                median_at[id(f.levels)] = rounded.index(0.5) if 0.5 in rounded else None
+            k, y = median_at[id(f.levels)], final.get((key.location, key.target_end_date))
             if k is None or y is None or y < 0:
                 continue
             median = f.values[k]

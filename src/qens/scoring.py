@@ -45,9 +45,14 @@ class RelWisTable:
         return sorted(self.rel_wis)
 
 
-def wis_terms(levels: Sequence[float], values: Sequence[float], y: float) -> np.ndarray:
-    """Per-level WIS contributions 2 * (1[y <= q_k] - tau_k) * (q_k - y)."""
-    if math.isnan(y):
+def wis_terms(levels: Sequence[float], values: Sequence | np.ndarray,
+              y: float | np.ndarray) -> np.ndarray:
+    """Per-level WIS contributions 2 * (1[y <= q_k] - tau_k) * (q_k - y).
+
+    One forecast's (K,) values against a scalar y, or N forecasts' (N, K)
+    values against an (N, 1) column of observations.
+    """
+    if np.isnan(y).any():
         raise DataError("observed value is NaN")
     q = np.asarray(values, dtype=float)
     tau = np.asarray(levels, dtype=float)

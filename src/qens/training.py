@@ -223,9 +223,8 @@ def window_objective(records: Sequence[WindowRecord], models: Sequence[str],
     forecast emission exactly: one kernel call per record for all rows, zero
     flooring, level monotonization. Rows with no weight on a record skip it.
     """
-    # level k's term needs only levels 0..k (monotonization runs upward); two
-    # at least, as numpy sums a lone column pairwise, moving the mean an ulp
-    stop = None if level_index is None else max(level_index + 1, 2)
+    # level k's term needs only levels 0..k (monotonization runs upward)
+    stop = None if level_index is None else level_index + 1
     column = {m: i for i, m in enumerate(models)}  # other models: zero column
     padded = np.concatenate([weights, np.zeros((len(weights), 1))], axis=1)
     totals = np.zeros(len(weights))

@@ -7,15 +7,18 @@ recomputed from their definitions so the tests are a genuine cross-check.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qens import (ForecastKey, QuantileForecast, QuantileLevelSet,
                   SubmissionSet, TruthStore)
-from qens.forecast import WEEK
+from qens.errors import DataError, DuplicateCellError, ParseError, ValidationError
+from qens.forecast import FORECAST_CSV_HEADER, WEEK
 
 SAT0 = dt.date(2021, 1, 2)  # a Saturday
 
@@ -249,3 +252,85 @@ def oracle_convex_weights(records, models, levels: QuantileLevelSet,
                     break
     best_w = best_w / best_w.sum()
     return {m: float(v) for m, v in zip(models, best_w)}
+
+
+def oracle_load_forecasts(*paths):
+    """Forecast CSVs read the way the loader did before its per-row caches.
+
+    Every row parses its own level; every forecast gets its own level set;
+    keys and quantiles are checked here by plain per-value loops, not by the
+    classes' own checks; the file and error order is the library's, so
+    results and errors must agree with `load_forecasts` exactly.
+    """
+    def parse_date(text, line):
+        try:
+            return dt.date.fromisoformat(text)
+        except ValueError as e:
+            raise ParseError(f"bad date {text!r}: {e}", line) from None
+
+    def checked_key(model, loc, fdate, tdate):
+        days = (tdate - fdate).days
+        if days <= 0 or days % 7 != 0 or days // 7 not in (1, 2, 3, 4):
+            raise ValidationError(f"target {tdate} is not 1-4 whole weeks after "
+                                  f"forecast date {fdate}")
+        return tuple.__new__(ForecastKey, (model, loc, fdate, tdate))  # checked above
+
+    def checked_forecast(key, levels, values):
+        if len(values) != levels.K:
+            raise ValidationError(f"{key}: {len(values)} values for {levels.K} levels")
+        if not all(math.isfinite(v) for v in values):
+            raise ValidationError(f"{key}: non-finite predictive quantile")
+        if any(v < 0 for v in values):
+            raise ValidationError(f"{key}: negative predictive quantile")
+        for lo, hi in zip(values, values[1:]):
+            if lo > hi:
+                raise ValidationError(f"{key}: quantiles not nondecreasing")
+        forecast = object.__new__(QuantileForecast)  # checked above, not by the class
+        for name, field in (("key", key), ("levels", levels), ("values", values)):
+            object.__setattr__(forecast, name, field)
+        return forecast
+
+    subs = SubmissionSet()
+    for path in map(Path, paths):
+        if not path.exists():
+            raise DataError(f"forecast file not found: {path}")
+        by_key, by_raw = {}, {}
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != FORECAST_CSV_HEADER:
+                raise ParseError(f"unexpected header {header!r} in {path}", 1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
+                model, fdate, loc, tdate, rtype, qlevel, value = row
+                if rtype != "quantile":
+                    continue
+                cached = by_raw.get((model, fdate, loc, tdate))
+                if cached is None:
+                    try:
+                        key = checked_key(model, loc, parse_date(fdate, lineno),
+                                          parse_date(tdate, lineno))
+                    except ValidationError as e:
+                        raise ParseError(str(e), lineno) from None
+                    cached = by_raw[(model, fdate, loc, tdate)] = (key, by_key.setdefault(key, {}))
+                key, by_level = cached
+                try:
+                    tau = round(float(qlevel), 10)
+                    val = float(value)
+                except ValueError as e:
+                    raise ParseError(f"bad numeric field: {e}", lineno) from None
+                if not math.isfinite(val):
+                    raise ParseError(f"non-finite value {value!r}", lineno)
+                if tau in by_level:
+                    raise DuplicateCellError(
+                        f"line {lineno}: duplicate cell {key} at level {tau}")
+                by_level[tau] = val
+        for key in sorted(by_key, key=lambda k: (k.model_id, k.location,
+                                                 k.forecast_date, k.target_end_date)):
+            taus = tuple(sorted(by_key[key]))
+            values = tuple(by_key[key][t] for t in taus)
+            subs.add(checked_forecast(key, QuantileLevelSet(taus), values))
+    return subs

@@ -328,3 +328,20 @@ class TestCombineValuesKernel:
         weights = np.array([[[1.0], [0.0]], [[0.0], [0.0]]])
         with pytest.raises(DataError):
             combine_values(np.ones((2, 3)), weights, "median")
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(8, 60), st.integers(2, 23))
+    @settings(max_examples=100, deadline=None)
+    def test_one_level_mean_equals_its_level_in_a_larger_set(self, seed, m, k):
+        # numpy sums a lone (M, 1) column pairwise from 8 rows on; the kernel
+        # must add sequentially whatever the number of levels
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1000.0, size=(m, k))
+        raw = rng.uniform(0.01, 1.0, size=m)
+        batch = rng.uniform(0.01, 1.0, size=(3, m, 1))
+        full = combine_values(values, raw, "mean")
+        full_batch = combine_values(values, batch, "mean")
+        for col in range(k):
+            one = values[:, col:col + 1]
+            assert combine_values(one, raw, "mean").tobytes() == full[col:col + 1].tobytes()
+            assert (combine_values(one, batch, "mean").tobytes()
+                    == full_batch[:, col:col + 1].tobytes())

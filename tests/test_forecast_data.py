@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,47 @@ class TestForecastKey:
             ForecastKey("m", "loc", sat(1), sat(0))
         with pytest.raises(ValidationError):
             ForecastKey("m", "loc", sat(0), sat(0) + dt.timedelta(days=10))
+
+
+    def test_rejects_bad_horizon_by_keyword(self):
+        with pytest.raises(ValidationError, match="is not 1-4 whole weeks after"):
+            ForecastKey(model_id="m", location="loc", forecast_date=sat(0),
+                        target_end_date=sat(0) + dt.timedelta(days=35))
+
+    def test_keyword_construction(self):
+        key = ForecastKey(target_end_date=sat(2), location="loc", model_id="m",
+                          forecast_date=sat(0))
+        assert key == ForecastKey("m", "loc", sat(0), sat(2))
+        assert (key.model_id, key.location, key.horizon) == ("m", "loc", 2)
+
+    def test_repr(self):
+        assert repr(ForecastKey("m", "loc", sat(0), sat(1))) == (
+            "ForecastKey(model_id='m', location='loc', "
+            "forecast_date=datetime.date(2021, 1, 2), "
+            "target_end_date=datetime.date(2021, 1, 9))")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        key = ForecastKey("m", "loc", sat(0), sat(4))
+        back = pickle.loads(pickle.dumps(key, protocol))
+        assert back == key and type(back) is ForecastKey and back.horizon == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "ab"]),
+                              st.sampled_from(["X", "Y"]),
+                              st.integers(0, 3), st.integers(1, 4)),
+                    min_size=2, max_size=12))
+    def test_order_hash_and_equality_follow_the_fields(self, cells):
+        fields = [(m, loc, sat(d), sat(d + h)) for m, loc, d, h in cells]
+        keys = [ForecastKey(*f) for f in fields]
+        again = [ForecastKey(*f) for f in fields]  # built separately
+        assert sorted(keys) == [ForecastKey(*f) for f in sorted(fields)]
+        lookup = dict(zip(keys, range(len(keys))))
+        for a, fa, b in zip(keys, fields, again):
+            assert a == b and hash(a) == hash(b) and a is not b
+            assert lookup[b] == max(i for i, f in enumerate(fields) if f == fa)
+            for c, fc in zip(keys, fields):
+                assert (a < c) == (fa < fc) and (a == c) == (fa == fc)
 
 
 class TestQuantileForecast:

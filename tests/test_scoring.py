@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qens import (DataError, QuantileLevelSet, coverage_rates, relative_wis,
-                  score_table, standardized_rank, wis, wis_terms)
+from qens import (DataError, QuantileLevelSet, TruthStore, coverage_rates,
+                  relative_wis, score_table, standardized_rank, wis, wis_terms)
+from qens.reporting import score_submissions
 from qens.scoring import ScoreRecord, load_scores, save_scores
 
 from conftest import (make_forecast, oracle_relative_skill, pinball_loss,
@@ -172,3 +173,56 @@ class TestScoreCSV:
         loaded = load_scores(tmp_path / "s.csv")
         assert loaded[0].key == records[0].key
         assert loaded[0].wis == records[0].wis
+
+
+class TestBatchedScoring:
+    """`score_submissions` scores each level set in one kernel call."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_forecast_wis(self, seed):
+        rng = np.random.default_rng(seed)
+        # two separately built seven-level sets: equal, but not one object
+        level_sets = [QuantileLevelSet.seven(), QuantileLevelSet.seven(),
+                      QuantileLevelSet((0.5,)), QuantileLevelSet((0.25, 0.5, 0.75)),
+                      QuantileLevelSet.twenty_three()]
+        cells = [(m, loc, d, h) for m in "abcd" for loc in "XY"
+                 for d in range(3) for h in (1, 2, 3, 4)]
+        chosen = rng.permutation(len(cells))[:int(rng.integers(1, len(cells)))]
+        forecasts = []
+        for i in chosen:
+            m, loc, d, h = cells[i]
+            levels = level_sets[rng.integers(len(level_sets))]
+            values = random_quantile_values(rng, levels.K, scale=float(rng.uniform(1, 1e4)))
+            forecasts.append(make_forecast(m, loc, sat(d), h, levels, values))
+        subs = submission_set(forecasts)
+        final = {}
+        for loc in "XY":
+            for t in range(1, 7):
+                u = rng.random()
+                if u < 0.7:
+                    final[(loc, sat(t))] = float(rng.uniform(0, 1e4))
+                elif u < 0.85:
+                    final[(loc, sat(t))] = -float(rng.uniform(0, 10))  # dropped
+        truth = TruthStore({sat(8): final})
+        exclusions = {f.key for f in forecasts if rng.random() < 0.2}
+        records = score_submissions(subs, truth, exclusions)
+        expected = []
+        for f in subs:
+            y = final.get((f.key.location, f.key.target_end_date))
+            if f.key not in exclusions and y is not None and y >= 0:
+                expected.append(wis(f, y))
+        assert [r.key for r in records] == [r.key for r in expected]
+        for got, want in zip(records, expected):
+            assert float.hex(got.wis) == float.hex(want.wis)
+            assert list(map(float.hex, got.per_level)) == list(map(float.hex, want.per_level))
+        assert score_submissions(subs, truth) == score_submissions(subs, truth, set())
+
+    def test_nan_observation_rejected(self, three):
+        subs = submission_set([make_forecast("m", "X", sat(0), h, three, [1, 2, 3])
+                               for h in (1, 2)])
+        truth = TruthStore({sat(3): {("X", sat(1)): 2.0, ("X", sat(2)): math.nan}})
+        with pytest.raises(DataError, match="NaN"):
+            score_submissions(subs, truth)
+        with pytest.raises(DataError, match="NaN"):
+            wis_terms(three.levels, [[1.0, 2.0, 3.0]] * 2, np.array([[2.0], [math.nan]]))
