@@ -3,7 +3,6 @@ weight-trajectory summaries."""
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,7 +11,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, ParseError
-from .forecast import ForecastKey, QuantileForecast, TruthStore
+from .forecast import (ForecastKey, QuantileForecast, TruthStore, _csv_reader,
+                       _write_csv)
 from .scoring import standardized_rank
 
 REVISION_ABS_THRESHOLD = 20.0
@@ -157,15 +157,8 @@ def components_to_cumulative_weight(weights: Mapping[str, float] | Sequence[floa
 
 def load_anomalies(path: str | Path) -> list[AnomalyRecord]:
     """Anomaly CSV: location,target_end_date,kind,initial_value,final_value."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"anomaly file not found: {path}")
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ANOMALY_CSV_HEADER:
-            raise ParseError(f"unexpected anomaly header {header!r} in {path}", 1)
+    with _csv_reader(path, ANOMALY_CSV_HEADER, "anomaly") as reader:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -183,25 +176,16 @@ def load_anomalies(path: str | Path) -> list[AnomalyRecord]:
 
 
 def save_anomalies(anomalies: Sequence[AnomalyRecord], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANOMALY_CSV_HEADER)
-        for a in sorted(anomalies, key=lambda a: (a.location, a.target_end_date, a.kind)):
-            writer.writerow([
-                a.location, a.target_end_date.isoformat(), a.kind,
-                "" if a.initial_value is None else repr(a.initial_value),
-                "" if a.final_value is None else repr(a.final_value),
-            ])
+    rows = ([a.location, a.target_end_date.isoformat(), a.kind,
+             "" if a.initial_value is None else repr(a.initial_value),
+             "" if a.final_value is None else repr(a.final_value)]
+            for a in sorted(anomalies,
+                            key=lambda a: (a.location, a.target_end_date, a.kind)))
+    _write_csv(path, ANOMALY_CSV_HEADER, rows)
 
 
 def save_peaks(peaks: Sequence[PeakRecord], path: str | Path) -> None:
     """Peak CSV: location,peak_week."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location", "peak_week"])
-        for p in sorted(peaks, key=lambda p: (p.location, p.peak_week)):
-            writer.writerow([p.location, p.peak_week.isoformat()])
+    rows = ([p.location, p.peak_week.isoformat()]
+            for p in sorted(peaks, key=lambda p: (p.location, p.peak_week)))
+    _write_csv(path, ["location", "peak_week"], rows)

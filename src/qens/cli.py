@@ -77,7 +77,6 @@ def simulate_cmd(config, seed, out, levels):
     if seed is not None:
         spec = SimSpec.from_dict({**spec.to_dict(), "seed": seed})
     subs, truth, anomalies = simulate(spec)
-    out.mkdir(parents=True, exist_ok=True)
     save_forecasts(subs, out / "forecasts.csv")
     save_truth_dir(truth, out / "truth")
     save_anomalies(anomalies, out / "anomalies.csv")

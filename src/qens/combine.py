@@ -20,10 +20,9 @@ WEIGHT_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative component weights summing to one, optionally per-stratum."""
+    """Nonnegative component weights summing to one."""
 
     weights: Mapping[str, float]
-    stratum: int | float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", dict(self.weights))
@@ -42,12 +41,12 @@ class WeightVector:
         return sorted(self.weights)
 
     @classmethod
-    def uniform(cls, models: Iterable[str], stratum=None) -> "WeightVector":
+    def uniform(cls, models: Iterable[str]) -> "WeightVector":
         models = sorted(models)
         if not models:
             raise ValidationError("cannot build uniform weights over no models")
         w = 1.0 / len(models)
-        return cls({m: w for m in models}, stratum=stratum)
+        return cls({m: w for m in models})
 
 
 def combine_values(values: np.ndarray, weights: np.ndarray, method: str,

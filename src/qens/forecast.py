@@ -13,15 +13,17 @@ Conventions: forecast dates and target end dates are both week-ending
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import datetime as dt
 import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DuplicateCellError, DataError, ParseError, ValidationError
+from .errors import (ConfigError, DuplicateCellError, DataError, ParseError,
+                     ValidationError)
 
 WEEK = dt.timedelta(days=7)
 HORIZONS = (1, 2, 3, 4)
@@ -32,6 +34,47 @@ FORECAST_CSV_HEADER = [
     "type", "quantile", "value",
 ]
 TRUTH_CSV_HEADER = ["location", "target_end_date", "value"]
+
+
+@contextlib.contextmanager
+def _csv_reader(path: str | Path, header: Sequence[str], what: str) -> Iterator[Iterator]:
+    """A `csv.reader` over a UTF-8 file, positioned after its checked header.
+
+    A missing or unreadable file is a DataError, a wrong header a ParseError
+    at line 1, and text that is not UTF-8 a ParseError naming the file (with
+    no line: the text layer decodes in chunks).
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except OSError as e:
+        raise DataError(f"cannot read {what} file {path}: {e.strerror}") from None
+    with fh:
+        try:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found != header:
+                raise ParseError(f"unexpected header {found!r} in {path}", 1)
+            yield reader
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{what} file {path} is not UTF-8 text: {e.reason}") from None
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV of a header and rows, creating missing parent directories.
+
+    A path that cannot be written is a ConfigError: the caller chose it.
+    """
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
 
 
 @dataclass(frozen=True)
@@ -254,7 +297,7 @@ def eligible_components(subs: SubmissionSet, location: str, forecast_date: dt.da
     cell = subs._cells.get(forecast_date, {}).get(location, {})
     return [m for m, by_h in sorted(cell.items())
             if len(by_h) == len(HORIZONS)
-            and all(f.levels == levels for f in by_h.values())
+            and all(f.levels.levels == levels.levels for f in by_h.values())
             and not (require_history and subs._first_date[m] >= forecast_date)]
 
 
@@ -278,23 +321,17 @@ def load_forecasts(*paths: str | Path) -> SubmissionSet:
     level_of: dict[str, float] = {}  # quantile text -> level, parsed once
     level_sets: dict[tuple[float, ...], QuantileLevelSet] = {}  # one per level tuple
     for path in map(Path, paths):
-        if not path.exists():
-            raise DataError(f"forecast file not found: {path}")
         by_key: dict[ForecastKey, dict[float, float]] = {}
         by_raw: dict[tuple[str, str, str, str], tuple[ForecastKey, dict[float, float]]] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != FORECAST_CSV_HEADER:
-                raise ParseError(f"unexpected header {header!r} in {path}", 1)
+        with _csv_reader(path, FORECAST_CSV_HEADER, "forecast") as reader:
             for lineno, row in enumerate(reader, start=2):
                 try:
                     model, fdate, loc, tdate, rtype, qlevel, value = row
                 except ValueError:
                     if not row:
                         continue
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}",
-                                     lineno) from None
+                    raise ParseError(f"expected {len(FORECAST_CSV_HEADER)} fields, "
+                                     f"got {len(row)}", lineno) from None
                 if rtype != "quantile":
                     continue
                 raw = (model, fdate, loc, tdate)
@@ -339,12 +376,9 @@ def _format_level(tau: float) -> str:
 
 def save_forecasts(subs: SubmissionSet, path: str | Path) -> None:
     """Write forecasts in the canonical CSV layout (round-trips with load)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FORECAST_CSV_HEADER)
-        level_text: dict[int, list[str]] = {}  # per level set, by identity
+    level_text: dict[int, list[str]] = {}  # per level set, by identity
+
+    def rows():
         for key in sorted(subs.forecasts):
             f = subs.forecasts[key]
             taus = level_text.get(id(f.levels))
@@ -352,8 +386,10 @@ def save_forecasts(subs: SubmissionSet, path: str | Path) -> None:
                 taus = level_text[id(f.levels)] = list(map(_format_level, f.levels.levels))
             model, location = key.model_id, key.location
             fdate, tdate = key.forecast_date.isoformat(), key.target_end_date.isoformat()
-            writer.writerows([(model, fdate, location, tdate, "quantile", tau, repr(val))
-                              for tau, val in zip(taus, f.values)])
+            for tau, val in zip(taus, f.values):
+                yield model, fdate, location, tdate, "quantile", tau, repr(val)
+
+    _write_csv(path, FORECAST_CSV_HEADER, rows())
 
 
 def load_truth_dir(path: str | Path) -> TruthStore:
@@ -368,11 +404,7 @@ def load_truth_dir(path: str | Path) -> TruthStore:
         except ValueError:
             raise DataError(f"truth snapshot filename is not an ISO date: {fp.name}")
         snap: dict[tuple[str, dt.date], float] = {}
-        with open(fp, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != TRUTH_CSV_HEADER:
-                raise ParseError(f"unexpected truth header {header!r} in {fp}", 1)
+        with _csv_reader(fp, TRUTH_CSV_HEADER, "truth") as reader:
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -394,12 +426,8 @@ def load_truth_dir(path: str | Path) -> TruthStore:
 
 
 def save_truth_dir(store: TruthStore, path: str | Path) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    """One snapshot CSV per as-of date (round-trips with `load_truth_dir`)."""
     for as_of in store.snapshot_dates:
         snap = store.snapshot(as_of)
-        with open(path / f"{as_of.isoformat()}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRUTH_CSV_HEADER)
-            for (loc, t), v in sorted(snap.items()):
-                writer.writerow([loc, t.isoformat(), repr(v)])
+        rows = ([loc, t.isoformat(), repr(v)] for (loc, t), v in sorted(snap.items()))
+        _write_csv(Path(path) / f"{as_of.isoformat()}.csv", TRUTH_CSV_HEADER, rows)

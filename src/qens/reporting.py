@@ -8,7 +8,6 @@ deterministic bundle of tidy CSVs for external plotting.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -22,7 +21,7 @@ from .analysis import (AnomalyRecord, detect_peaks, load_anomalies,
 from .baseline import baseline_forecast
 from .errors import ConfigError, DataError
 from .forecast import (HORIZONS, WEEK, QuantileForecast, QuantileLevelSet,
-                       SubmissionSet, TruthStore, load_forecasts,
+                       SubmissionSet, TruthStore, _write_csv, load_forecasts,
                        load_truth_dir, save_forecasts)
 from .scoring import (ScoreRecord, coverage_rates, relative_wis, save_rel_wis,
                       score_table, wis_terms)
@@ -54,6 +53,8 @@ class RunConfig:
         names = [s.name for s in self.specs]
         if len(set(names)) != len(names):
             raise ConfigError("ensemble spec names must be unique")
+        if self.reference_spec is not None and self.reference_spec not in names:
+            raise ConfigError(f"reference_spec {self.reference_spec!r} names no spec")
         if (self.development_cut and self.prospective_start
                 and self.development_cut > self.prospective_start):
             raise ConfigError("development cut must not be after prospective start")
@@ -63,6 +64,9 @@ class RunConfig:
         base = base or Path(".")
         if not isinstance(data, Mapping):
             raise ConfigError("run config must be a JSON object")
+        extra = set(data) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ConfigError(f"unknown run config fields: {sorted(extra)}")
 
         def path_of(key):
             raw = data.get(key)
@@ -82,6 +86,9 @@ class RunConfig:
         seed = data.get("baseline_seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"baseline_seed must be an integer, got {seed!r}")
+        flag = data.get("apply_exclusions", False)
+        if not isinstance(flag, bool):
+            raise ConfigError(f"apply_exclusions must be true or false, got {flag!r}")
         for key in ("forecast_dir", "truth_dir", "output_dir"):
             if key not in data:
                 raise ConfigError(f"run config missing {key!r}")
@@ -96,7 +103,7 @@ class RunConfig:
             development_cut=_opt_date(data.get("development_cut")),
             prospective_start=_opt_date(data.get("prospective_start")),
             anomalies_file=path_of("anomalies_file"),
-            apply_exclusions=bool(data.get("apply_exclusions", False)),
+            apply_exclusions=flag,
             baseline_seed=seed,
         )
 
@@ -189,8 +196,6 @@ def run(config: RunConfig) -> Path:
                      model_id=config.baseline_model, seed=config.baseline_seed)
 
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     ensembles = SubmissionSet()
     weight_rows: list[dict] = []
     for spec in config.specs:
@@ -237,53 +242,47 @@ def _default_reference(specs: Sequence[EnsembleSpec]) -> str:
 
 def _write_scores(records: Sequence[ScoreRecord], config: RunConfig,
                   path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "location", "forecast_date", "target_end_date",
-                         "horizon", "wis", "phase"])
-        issued: dict[dt.date, tuple[str, str]] = {}  # forecast date -> (text, phase)
+    issued: dict[dt.date, tuple[str, str]] = {}  # forecast date -> (text, phase)
+
+    def rows():
         for rec in sorted(records, key=attrgetter("key")):
             k = rec.key
             if k.forecast_date not in issued:
                 issued[k.forecast_date] = (k.forecast_date.isoformat(),
                                            phase_of(config, k.forecast_date))
             fdate, phase = issued[k.forecast_date]
-            writer.writerow([k.model_id, k.location, fdate, k.target_end_date.isoformat(),
-                             k.horizon, repr(rec.wis), phase])
+            yield [k.model_id, k.location, fdate, k.target_end_date.isoformat(),
+                   k.horizon, repr(rec.wis), phase]
+
+    _write_csv(path, ["model", "location", "forecast_date", "target_end_date",
+                      "horizon", "wis", "phase"], rows())
 
 
 def save_coverage(subs: SubmissionSet, truth: TruthStore, path: Path) -> None:
     """Coverage export: model,level,coverage against final truth."""
     final = truth.latest()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "level", "coverage"])
-        by_model: dict[str, list[tuple[QuantileForecast, float]]] = {}
-        for f in subs:
-            y = final.get((f.key.location, f.key.target_end_date))
-            if y is not None and y >= 0:
-                by_model.setdefault(f.key.model_id, []).append((f, y))
-        for m, scorable in sorted(by_model.items()):
-            levels = scorable[0][0].levels
-            usable = [(f, y) for f, y in scorable if f.levels == levels]
-            rates = coverage_rates([f for f, _ in usable], [y for _, y in usable])
-            for tau in sorted(rates):
-                writer.writerow([m, f"{tau:g}", repr(rates[tau])])
+    by_model: dict[str, list[tuple[QuantileForecast, float]]] = {}
+    for f in subs:
+        y = final.get((f.key.location, f.key.target_end_date))
+        if y is not None and y >= 0:
+            by_model.setdefault(f.key.model_id, []).append((f, y))
+    rows = []
+    for m, scorable in sorted(by_model.items()):
+        levels = scorable[0][0].levels
+        usable = [(f, y) for f, y in scorable if f.levels == levels]
+        rates = coverage_rates([f for f, _ in usable], [y for _, y in usable])
+        for tau in sorted(rates):
+            rows.append([m, f"{tau:g}", repr(rates[tau])])
+    _write_csv(path, ["model", "level", "coverage"], rows)
 
 
 def save_weight_log(rows: Sequence[dict], path: Path) -> None:
     """Weight log export: one row per (spec, date, stratum, model)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEIGHT_LOG_HEADER)
-        for row in sorted(rows, key=lambda r: (r["spec_id"], r["forecast_date"],
-                                               r["stratum"], r["model"])):
-            writer.writerow([
-                row["forecast_date"].isoformat(), row["stratum"], row["model"],
-                repr(row["weight"]),
-                "" if row["theta"] is None else repr(row["theta"]),
-                row["spec_id"],
-            ])
+    lines = ([r["forecast_date"].isoformat(), r["stratum"], r["model"], repr(r["weight"]),
+              "" if r["theta"] is None else repr(r["theta"]), r["spec_id"]]
+             for r in sorted(rows, key=lambda r: (r["spec_id"], r["forecast_date"],
+                                                  r["stratum"], r["model"])))
+    _write_csv(path, WEIGHT_LOG_HEADER, lines)
 
 
 def _write_wis_differences(records: Sequence[ScoreRecord], reference: str,
@@ -296,19 +295,17 @@ def _write_wis_differences(records: Sequence[ScoreRecord], reference: str,
         sums[k] = (total + rec.wis, n + 1)
     means = {k: total / n for k, (total, n) in sums.items()}
     spec_names = {s.name for s in config.specs}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["spec_id", "forecast_date", "horizon", "mean_wis_diff",
-                         "phase"])
-        for (model, date, horizon) in sorted(means):
-            if model not in spec_names:
-                continue
-            ref = means.get((reference, date, horizon))
-            if ref is None:
-                continue
-            writer.writerow([model, date.isoformat(), horizon,
-                             repr(means[(model, date, horizon)] - ref),
-                             phase_of(config, date)])
+    rows = []
+    for (model, date, horizon) in sorted(means):
+        if model not in spec_names:
+            continue
+        ref = means.get((reference, date, horizon))
+        if ref is None:
+            continue
+        rows.append([model, date.isoformat(), horizon,
+                     repr(means[(model, date, horizon)] - ref), phase_of(config, date)])
+    _write_csv(path, ["spec_id", "forecast_date", "horizon", "mean_wis_diff", "phase"],
+               rows)
 
 
 def _write_peaks(truth: TruthStore, subs: SubmissionSet, config: RunConfig,
@@ -327,11 +324,9 @@ def _write_peak_errors(subs: SubmissionSet, truth: TruthStore, peaks,
     """Predictive-median errors overall and for forecasts issued pre-peak."""
     final = truth.latest()
     peak_weeks = {(p.location, p.peak_week) for p in peaks}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "location", "forecast_date", "horizon",
-                         "median_error", "pre_peak"])
-        median_at: dict[int, int | None] = {}  # per level set, by identity
+    median_at: dict[int, int | None] = {}  # per level set, by identity
+
+    def rows():
         for key in sorted(subs.forecasts):
             f = subs.forecasts[key]
             if id(f.levels) not in median_at:
@@ -340,8 +335,9 @@ def _write_peak_errors(subs: SubmissionSet, truth: TruthStore, peaks,
             k, y = median_at[id(f.levels)], final.get((key.location, key.target_end_date))
             if k is None or y is None or y < 0:
                 continue
-            median = f.values[k]
             pre_peak = (key.location, key.forecast_date + WEEK) in peak_weeks
-            writer.writerow([key.model_id, key.location,
-                             key.forecast_date.isoformat(), key.horizon,
-                             repr(median - y), int(pre_peak)])
+            yield [key.model_id, key.location, key.forecast_date.isoformat(),
+                   key.horizon, repr(f.values[k] - y), int(pre_peak)]
+
+    _write_csv(path, ["model", "location", "forecast_date", "horizon",
+                      "median_error", "pre_peak"], rows())

@@ -7,7 +7,6 @@ aggregation across model pairs), and standardized performance ranks.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .forecast import ForecastKey, QuantileForecast
+from .forecast import ForecastKey, QuantileForecast, _write_csv
 
 # A model's scores indexed by (location, forecast_date); each entry holds the
 # per-horizon WIS values that were scorable for that unit.
@@ -40,9 +39,6 @@ class RelWisTable:
     baseline: str
     aggregation: str
     undefined: frozenset[str] = frozenset()
-
-    def sorted_models(self) -> list[str]:
-        return sorted(self.rel_wis)
 
 
 def wis_terms(levels: Sequence[float], values: Sequence | np.ndarray,
@@ -176,43 +172,16 @@ def standardized_rank(values: Mapping[str, float]) -> dict[str, float]:
 
 def save_scores(records: Iterable[ScoreRecord], path: str | Path) -> None:
     """Score export: model,location,forecast_date,target_end_date,horizon,wis."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "location", "forecast_date", "target_end_date",
-                         "horizon", "wis"])
-        for rec in sorted(records, key=lambda r: r.key):
-            k = rec.key
-            writer.writerow([k.model_id, k.location, k.forecast_date.isoformat(),
-                             k.target_end_date.isoformat(), k.horizon, repr(rec.wis)])
-
-
-def load_scores(path: str | Path) -> list[ScoreRecord]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"score file not found: {path}")
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = ForecastKey(row["model"], row["location"],
-                              dt.date.fromisoformat(row["forecast_date"]),
-                              dt.date.fromisoformat(row["target_end_date"]))
-            w = float(row["wis"])
-            records.append(ScoreRecord(key, w, (w,)))
-    return records
+    rows = ([r.key.model_id, r.key.location, r.key.forecast_date.isoformat(),
+             r.key.target_end_date.isoformat(), r.key.horizon, repr(r.wis)]
+            for r in sorted(records, key=lambda r: r.key))
+    _write_csv(path, ["model", "location", "forecast_date", "target_end_date",
+                      "horizon", "wis"], rows)
 
 
 def save_rel_wis(table: RelWisTable, path: str | Path) -> None:
     """Relative WIS export: model,theta,rel_wis,aggregation."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "theta", "rel_wis", "aggregation"])
-        for m in table.sorted_models():
-            writer.writerow([m, repr(table.theta[m]), repr(table.rel_wis[m]),
-                             table.aggregation])
-        for m in sorted(table.undefined):
-            writer.writerow([m, "", "", table.aggregation])
+    rows = [[m, repr(table.theta[m]), repr(table.rel_wis[m]), table.aggregation]
+            for m in sorted(table.rel_wis)]
+    rows += [[m, "", "", table.aggregation] for m in sorted(table.undefined)]
+    _write_csv(path, ["model", "theta", "rel_wis", "aggregation"], rows)

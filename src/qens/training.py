@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 COMBINERS = ("mean", "median")
 WEIGHTINGS = ("equal", "rel_wis_sigmoid", "convex_direct", "post_hoc")
 SHARINGS = ("per_model", "per_horizon", "per_quantile")
+_CONVEX_MAX_ITER = 10_000
+_CONVEX_TOL = 1e-8  # absolute, on the objective
 
 
 def default_theta_grid() -> "ThetaGrid":
@@ -265,8 +267,7 @@ def fit_theta(window: TrainingWindow, rwis: Mapping[str, float],
 
 
 def convex_weights(records: Sequence[WindowRecord], models: Sequence[str],
-                   levels: QuantileLevelSet, level_index: int | None = None,
-                   max_iter: int = 10_000, tol: float = 1e-8) -> WeightVector:
+                   levels: QuantileLevelSet, level_index: int | None = None) -> WeightVector:
     """Weights minimizing the weighted-mean ensemble WIS on the simplex.
 
     Exponentiated-gradient descent from a uniform start; the step is halved
@@ -306,11 +307,11 @@ def convex_weights(records: Sequence[WindowRecord], models: Sequence[str],
         return WeightVector(dict(zip(models, w)))
     eta = 0.5 / scale
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(_CONVEX_MAX_ITER):
         w = w * np.exp(-eta * grad)
         w /= w.sum()
         obj, grad = objective_and_grad(w)
-        if obj < best_obj - tol:
+        if obj < best_obj - _CONVEX_TOL:
             best_w, best_obj, best_grad = w.copy(), obj, grad
             stall = 0
         else:
@@ -345,14 +346,6 @@ def post_hoc_records(subs: SubmissionSet, truth: TruthStore, s: dt.date,
             values = {m: subs.get(m, loc, s, t).values for m in models}
             records.append(WindowRecord(loc, s, t, h, y, values))
     return records
-
-
-def post_hoc_weights(subs: SubmissionSet, truth: TruthStore, s: dt.date,
-                     levels: QuantileLevelSet, models: Sequence[str],
-                     level_index: int | None = None) -> WeightVector:
-    """Convex weights for one forecast date using realized outcomes (non-causal)."""
-    records = post_hoc_records(subs, truth, s, levels)
-    return convex_weights(records, models, levels, level_index=level_index)
 
 
 def _strata(spec: EnsembleSpec, levels: QuantileLevelSet) -> list[tuple[str, int | None, int | None]]:
@@ -419,8 +412,8 @@ def _stratum_weights(subs: SubmissionSet, truth: TruthStore, s: dt.date,
             w = convex_weights(records, selected, levels, level_index=level_index)
             out[label] = (w, None)
         else:  # post_hoc: weights fit on date s itself with realized truth
-            w = post_hoc_weights(subs, truth, s, levels, selected,
-                                 level_index=level_index)
+            w = convex_weights(post_hoc_records(subs, truth, s, levels), selected,
+                               levels, level_index=level_index)
             out[label] = (w, None)
     return out
 

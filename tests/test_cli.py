@@ -1,8 +1,10 @@
 """Command-line workflows and exit-code conventions."""
 
+import ast
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,12 @@ SRC = Path(qens.__file__).resolve().parents[1]
 
 def run_cli(*args) -> int:
     return main(list(args))
+
+
+def run_cli_process(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "qens.cli", *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +229,27 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_only_the_csv_helpers_open_files():
+    # every CSV is read through forecast._csv_reader and written through
+    # forecast._write_csv, so how a CSV is opened and checked cannot drift
+    calls = set()
+    for path in sorted((SRC / "qens").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if ((isinstance(f, ast.Name) and f.id == "open")
+                        or (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                            and f.value.id == "csv")):
+                    calls.add((path.name, getattr(top, "name", None), ast.unparse(f)))
+    assert calls == {("forecast.py", "_csv_reader", "open"),
+                     ("forecast.py", "_csv_reader", "csv.reader"),
+                     ("forecast.py", "_write_csv", "open"),
+                     ("forecast.py", "_write_csv", "csv.writer"),
+                     ("cli.py", "_read_json", "open")}
+
+
 class TestBadInputExitCodes:
     def test_non_finite_forecast_is_data_error(self, sim_dir, tmp_path):
         lines = (sim_dir / "forecasts.csv").read_text().splitlines()
@@ -300,6 +329,24 @@ class TestBadInputExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: {**c, "prospective_strat": "2021-03-06"},
+        lambda c: {**c, "apply_exclusions": "false"},
+        lambda c: {**c, "reference_spec": "ens_typo"},
+    ], ids=["unknown_key", "string_apply_exclusions", "unknown_reference_spec"])
+    def test_config_it_would_misread_is_config_error(self, sim_dir, tmp_path, capsys,
+                                                     edit):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(edit({
+            "forecast_dir": str(sim_dir / "forecasts.csv"),
+            "truth_dir": str(sim_dir / "truth"),
+            "output_dir": str(tmp_path / "report"),
+            "specs": [{"name": "ens_eq"}],
+        })))
+        assert run_cli("backtest", "--config", str(config)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("text", ['{"start": "2021-99-01"}', '{"levels": ["a"]}',
                                       '{"levels": 5}', '{"components": [1]}', "{", None])
     def test_bad_simulation_config_is_config_error(self, tmp_path, text):
@@ -315,3 +362,80 @@ class TestBadInputExitCodes:
         assert run_cli("ensemble", "--forecasts", str(sim_dir / "forecasts.csv"),
                        "--truth", str(sim_dir / "truth"), "--config", str(config),
                        "--out", str(tmp_path / "o.csv")) == 2
+
+
+class TestFileErrorContract:
+    """Unreadable input exits 3 and an unwritable output path exits 2, both
+    without a traceback; missing output directories are created."""
+
+    @pytest.mark.parametrize("kind", ["forecast", "truth", "anomaly"])
+    def test_non_utf8_input_is_data_error(self, sim_dir, tmp_path, kind):
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir, data)
+        if kind == "forecast":  # the byte is in the last row: read in the row loop
+            bad = data / "forecasts.csv"
+            row = b"caf\xe9,2021-01-02,X,2021-01-09,quantile,0.5,1\n"
+            args = ["score", "--forecasts", bad, "--truth", data / "truth",
+                    "--out", tmp_path / "s.csv"]
+        elif kind == "truth":
+            bad, row = sorted((data / "truth").glob("*.csv"))[-1], b"x,2021-01-02,caf\xe9\n"
+            args = ["peaks", "--truth", data / "truth", "--out", tmp_path / "p.csv"]
+        else:
+            bad, row = data / "anomalies.csv", b"caf\xe9,2021-01-02,outlier,,\n"
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({
+                "forecast_dir": "data/forecasts.csv", "truth_dir": "data/truth",
+                "output_dir": "report", "anomalies_file": "data/anomalies.csv",
+                "specs": [{"name": "ens_eq"}]}))
+            args = ["backtest", "--config", config]
+        with open(bad, "ab") as fh:
+            fh.write(row)
+        done = run_cli_process(*args)
+        assert done.returncode == 3
+        assert "Traceback" not in done.stderr
+        assert f"{bad} is not UTF-8" in done.stderr
+
+    def test_directory_as_anomaly_file_is_data_error(self, sim_dir, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "forecast_dir": str(sim_dir / "forecasts.csv"),
+            "truth_dir": str(sim_dir / "truth"),
+            "output_dir": str(tmp_path / "report"),
+            "anomalies_file": str(sim_dir / "truth"),
+            "specs": [{"name": "ens_eq"}]}))
+        done = run_cli_process("backtest", "--config", config)
+        assert done.returncode == 3
+        assert "Traceback" not in done.stderr
+        assert "cannot read anomaly file" in done.stderr
+
+    def test_missing_output_directories_are_created(self, sim_dir, tmp_path):
+        coverage = tmp_path / "new" / "dir" / "c.csv"
+        done = run_cli_process("coverage", "--forecasts", sim_dir / "forecasts.csv",
+                               "--truth", sim_dir / "truth", "--out", coverage)
+        assert done.returncode == 0, done.stderr
+        assert coverage.read_text().startswith("model,level,coverage\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "ens"}))
+        weights = tmp_path / "new" / "w.csv"
+        done = run_cli_process("ensemble", "--forecasts", sim_dir / "forecasts.csv",
+                               "--truth", sim_dir / "truth", "--config", spec,
+                               "--out", tmp_path / "ens.csv", "--weights-out", weights)
+        assert done.returncode == 0, done.stderr
+        assert weights.read_text().startswith(
+            "forecast_date,stratum,model,weight,theta,spec_id\n")
+
+    @pytest.mark.parametrize("command", ["score", "peaks", "simulate"])
+    def test_output_under_a_file_is_config_error(self, sim_dir, tmp_path, command):
+        # a regular file where a directory should be; a permission bit would
+        # not stop a process running as root
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out.csv"
+        args = {"score": ["--forecasts", sim_dir / "forecasts.csv",
+                          "--truth", sim_dir / "truth", "--out", out],
+                "peaks": ["--truth", sim_dir / "truth", "--out", out],
+                "simulate": ["--seed", "5", "--out", blocker / "data"]}[command]
+        done = run_cli_process(command, *args)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "config error: cannot write" in done.stderr

@@ -1,5 +1,6 @@
 """Interval scoring, relative skill, ranks, and coverage."""
 
+import csv
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from qens import (DataError, QuantileLevelSet, TruthStore, coverage_rates,
                   relative_wis, score_table, standardized_rank, wis, wis_terms)
 from qens.reporting import score_submissions
-from qens.scoring import ScoreRecord, load_scores, save_scores
+from qens.scoring import ScoreRecord, save_scores
 
 from conftest import (make_forecast, oracle_relative_skill, pinball_loss,
                       random_quantile_values, sat, submission_set)
@@ -170,9 +171,12 @@ class TestScoreCSV:
         f = make_forecast("m", "loc", sat(0), 2, three, [1, 2, 3])
         records = [wis(f, 2.5)]
         save_scores(records, tmp_path / "s.csv")
-        loaded = load_scores(tmp_path / "s.csv")
-        assert loaded[0].key == records[0].key
-        assert loaded[0].wis == records[0].wis
+        with open(tmp_path / "s.csv", newline="", encoding="utf-8") as fh:
+            loaded = list(csv.DictReader(fh))
+        assert loaded == [{"model": "m", "location": "loc",
+                           "forecast_date": sat(0).isoformat(),
+                           "target_end_date": sat(2).isoformat(), "horizon": "2",
+                           "wis": repr(records[0].wis)}]
 
 
 class TestBatchedScoring:

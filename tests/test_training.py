@@ -15,7 +15,7 @@ from qens import training
 from qens.forecast import WEEK
 from qens.scoring import wis_terms
 from qens.training import (ThetaGrid, TrainingWindow, WindowRecord,
-                           post_hoc_weights, window_score_table)
+                           post_hoc_records, window_score_table)
 
 from conftest import (make_forecast, oracle_convex_weights, sat,
                       submission_set)
@@ -456,11 +456,9 @@ class TestTrainAndForecast:
     def test_post_hoc_beats_components_on_its_week(self, three):
         subs, truth = backtest_inputs(three)
         s = subs.forecast_dates()[5]
-        w = post_hoc_weights(subs, truth, s, three,
-                             ["a", "b", "baseline", "c"])
-        from qens.training import post_hoc_records
         records = post_hoc_records(subs, truth, s, three)
         models = ["a", "b", "baseline", "c"]
+        w = convex_weights(records, models, three)
         opt = _mean_objective(records, models, dict(w.weights), three)
         for m in models:
             vertex = {n: 1.0 if n == m else 0.0 for n in models}
