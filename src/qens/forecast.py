@@ -61,20 +61,24 @@ def _csv_reader(path: str | Path, header: Sequence[str], what: str) -> Iterator[
             raise ParseError(f"{what} file {path} is not UTF-8 text: {e.reason}") from None
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a UTF-8 CSV of a header and rows, creating missing parent directories.
-
-    A path that cannot be written is a ConfigError: the caller chose it.
-    """
-    path = Path(path)
+@contextlib.contextmanager
+def _output_errors(path: str | Path) -> Iterator[None]:
+    """Turn an OSError while writing `path` into a ConfigError: the caller chose it."""
     try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV of a header and rows, creating missing parent directories."""
+    path = Path(path)
+    with _output_errors(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-    except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
 
 
 @dataclass(frozen=True)

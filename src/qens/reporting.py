@@ -21,8 +21,8 @@ from .analysis import (AnomalyRecord, detect_peaks, load_anomalies,
 from .baseline import baseline_forecast
 from .errors import ConfigError, DataError
 from .forecast import (HORIZONS, WEEK, QuantileForecast, QuantileLevelSet,
-                       SubmissionSet, TruthStore, _write_csv, load_forecasts,
-                       load_truth_dir, save_forecasts)
+                       SubmissionSet, TruthStore, _output_errors, _write_csv,
+                       load_forecasts, load_truth_dir, save_forecasts)
 from .scoring import (ScoreRecord, coverage_rates, relative_wis, save_rel_wis,
                       score_table, wis_terms)
 from .training import EnsembleSpec, train_and_forecast
@@ -185,6 +185,9 @@ def phase_of(config: RunConfig, forecast_date: dt.date) -> str:
 
 def run(config: RunConfig) -> Path:
     """Execute the full pipeline and write the report bundle; returns its path."""
+    out = Path(config.output_dir)
+    with _output_errors(out):  # an unwritable bundle path fails before any work
+        out.mkdir(parents=True, exist_ok=True)
     subs = load_forecast_dir(config.forecast_dir)
     truth = load_truth_dir(config.truth_dir)
     anomalies: list[AnomalyRecord] = []
@@ -195,7 +198,6 @@ def run(config: RunConfig) -> Path:
         add_baseline(subs, truth, dates, config.levels,
                      model_id=config.baseline_model, seed=config.baseline_seed)
 
-    out = Path(config.output_dir)
     ensembles = SubmissionSet()
     weight_rows: list[dict] = []
     for spec in config.specs:

@@ -28,8 +28,6 @@ log = logging.getLogger(__name__)
 COMBINERS = ("mean", "median")
 WEIGHTINGS = ("equal", "rel_wis_sigmoid", "convex_direct", "post_hoc")
 SHARINGS = ("per_model", "per_horizon", "per_quantile")
-_CONVEX_MAX_ITER = 10_000
-_CONVEX_TOL = 1e-8  # absolute, on the objective
 
 
 def default_theta_grid() -> "ThetaGrid":
@@ -178,14 +176,20 @@ def build_training_window(subs: SubmissionSet, truth: TruthStore, s: dt.date,
 
 def window_score_table(records: Sequence[WindowRecord], levels: QuantileLevelSet,
                        level_index: int | None = None) -> ScoreTable:
-    """Per-model WIS (or one level's contribution) over the window units."""
+    """Per-model WIS (or one level's contribution) over the window units.
+
+    Every (record, model) forecast is scored in one kernel call.
+    """
     table: ScoreTable = {}
-    for rec in records:
-        for m, vals in rec.values.items():
-            terms = wis_terms(levels.levels, vals, rec.y)
-            score = float(terms.mean() if level_index is None else terms[level_index])
-            unit = (rec.location, rec.forecast_date)
-            table.setdefault(m, {}).setdefault(unit, []).append(score)
+    entries = [(rec, m) for rec in records for m in rec.values]
+    if not entries:
+        return table
+    terms = wis_terms(levels.levels, [rec.values[m] for rec, m in entries],
+                      np.array([rec.y for rec, _ in entries])[:, None])
+    scores = terms.mean(axis=-1) if level_index is None else terms[:, level_index]
+    for (rec, m), score in zip(entries, scores.tolist()):
+        unit = (rec.location, rec.forecast_date)
+        table.setdefault(m, {}).setdefault(unit, []).append(score)
     return table
 
 
@@ -268,12 +272,28 @@ def fit_theta(window: TrainingWindow, rwis: Mapping[str, float],
 
 def convex_weights(records: Sequence[WindowRecord], models: Sequence[str],
                    levels: QuantileLevelSet, level_index: int | None = None) -> WeightVector:
-    """Weights minimizing the weighted-mean ensemble WIS on the simplex.
+    """Weights minimizing the weighted-mean ensemble WIS on the simplex, exactly.
 
-    Exponentiated-gradient descent from a uniform start; the step is halved
-    when the best objective stalls, which handles the kinks of the piecewise
-    linear objective. Only records where every candidate model is available
-    enter the objective, keeping it convex.
+    Only records where every candidate model is available enter the
+    objective, keeping it convex. Each (record, level) pair is one row a_i
+    (the components' values) with observation y_i and level tau_i, and
+    sum_i rho_tau_i(y_i - a_i.w) is minimized over w >= 0, sum(w) = 1. That
+    is a linear program, solved by a simplex method in the M-dimensional
+    weight space: the Barrodale-Roberts L1 algorithm with the simplex
+    constraints added. A minimum lies at a vertex where M - 1 constraints
+    are tight, each a zero weight w_m = 0 or a zero residual a_i.w = y_i.
+    The descent starts at the best single component. Each pivot relaxes the
+    tight constraint whose edge has the most negative directional
+    derivative and moves to the exact minimum along that edge: one sort of
+    the residual breakpoints, at each of which the slope rises by |a_i.d|,
+    capped by the first weight to reach 0. The constraint met there replaces
+    the relaxed one, and the descent stops when no edge descends.
+
+    Components whose values are identical on every row are merged before the
+    solve and split their weight equally. Degenerate vertices, common with
+    integer counts, are avoided by solving on y plus a fixed perturbation of
+    1e-9 of each row's scale; the weights are then read from the final
+    vertex with the unperturbed y.
     """
     models = sorted(models)
     if not models:
@@ -288,42 +308,102 @@ def convex_weights(records: Sequence[WindowRecord], models: Sequence[str],
     if level_index is not None:
         Q = Q[:, :, level_index:level_index + 1]
         taus = taus[level_index:level_index + 1]
+    if not (np.isfinite(Q).all() and np.isfinite(y).all()):
+        raise DataError("convex weights need finite forecasts and observations")
+    R, M, K = Q.shape
+    A = Q.transpose(0, 2, 1).reshape(R * K, M)  # one row per (record, level)
 
-    R, _, K = Q.shape
-    y_col, tau_row = y[:, None], taus[None, :]
+    groups: dict[bytes, int] = {}  # identical columns share one variable
+    group_of = [groups.setdefault(A[:, m].tobytes(), len(groups)) for m in range(M)]
+    firsts = [group_of.index(g) for g in range(len(groups))]
+    v = _simplex_pinball(A[:, firsts], np.repeat(y, K), np.tile(taus, R))
+    size = np.bincount(group_of)
+    return WeightVector({m: float(v[g] / size[g]) for m, g in zip(models, group_of)})
 
-    def objective_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        q_ens = np.einsum("m,rmk->rk", w, Q)
-        g = 2.0 * ((y_col <= q_ens).astype(float) - tau_row)  # subgradient terms
-        obj = float(np.add.reduce(np.add.reduce(g * (q_ens - y_col), axis=1) / K) / R)
-        grad = np.einsum("rk,rmk->m", g, Q) / (R * K)
-        return obj, grad
 
-    w = np.full(len(models), 1.0 / len(models))
-    obj, grad = objective_and_grad(w)
-    best_w, best_obj, best_grad = w.copy(), obj, grad
-    scale = float(np.max(np.abs(grad)))
-    if scale == 0.0:
-        return WeightVector(dict(zip(models, w)))
-    eta = 0.5 / scale
-    stall = 0
-    for _ in range(_CONVEX_MAX_ITER):
-        w = w * np.exp(-eta * grad)
-        w /= w.sum()
-        obj, grad = objective_and_grad(w)
-        if obj < best_obj - _CONVEX_TOL:
-            best_w, best_obj, best_grad = w.copy(), obj, grad
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 20:
-                eta *= 0.5
-                w, grad = best_w.copy(), best_grad
-                stall = 0
-                if eta < 1e-14 / scale:
-                    break
-    best_w = best_w / best_w.sum()
-    return WeightVector({m: float(v) for m, v in zip(models, best_w)})
+def _simplex_pinball(A: np.ndarray, y: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The w >= 0, sum(w) = 1 minimizing sum_i rho_tau_i(y_i - A_i.w), by the
+    vertex descent `convex_weights` describes.
+
+    With sum(w) = 1, the M - 1 tight constraints form the basis. A pivot
+    that fails to lower the objective, which only rounding can cause, also
+    ends the descent, so no basis repeats.
+    """
+    N, M = A.shape
+    if M == 1:
+        return np.ones(1)
+    scale = np.maximum(np.abs(y), np.abs(A).max(axis=1))
+    y_solve = y + 1e-9 * scale * np.random.default_rng(0).uniform(-1.0, 1.0, N)
+
+    def system(basis: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # basis codes: m < M is w_m = 0, M + i is A_i.w = obs_i
+        B, rhs = np.zeros((M, M)), np.zeros(M)
+        B[0], rhs[0] = 1.0, 1.0
+        rows, bound = np.arange(1, M), basis < M
+        B[rows[bound], basis[bound]] = 1.0
+        B[rows[~bound]] = A[basis[~bound] - M]
+        rhs[rows[~bound]] = obs[basis[~bound] - M]
+        return B, rhs
+
+    r = y_solve[:, None] - A
+    start = int(np.argmin(np.maximum(tau[:, None] * r, (tau[:, None] - 1.0) * r).sum(axis=0)))
+    basis = np.array([m for m in range(M) if m != start])
+    previous, obj = basis, np.inf
+    mass, a_max = np.abs(A).sum(axis=0), np.abs(A).max()
+    while True:
+        B, rhs = system(basis, y_solve)
+        inverse = np.linalg.inv(B)
+        edges = inverse[:, 1:]  # column j: the edge that relaxes basis[j]
+        w = inverse @ rhs
+        resid = basis >= M
+        bound, tight = basis[~resid], basis[resid] - M
+        w[bound] = 0.0
+        r = y_solve - A @ w
+        r[tight] = 0.0
+        value = float(np.maximum(tau * r, (tau - 1.0) * r).sum())
+        if value >= obj:
+            basis = previous
+            break
+        obj = value
+
+        # derivative along +edge j from the rows off the basis, plus the
+        # relaxed residual's own: 1 - tau moving up through y, tau moving down
+        g = np.where(r > 0.0, -tau, 1.0 - tau)
+        g[tight] = 0.0
+        slope = (g @ A) @ edges
+        tau_j = tau[np.where(resid, basis - M, 0)]
+        up = slope + np.where(resid, 1.0 - tau_j, 0.0)
+        down = np.where(resid, tau_j - slope, np.inf)  # zero weights only rise
+        noise = -1e-11 * (mass @ np.abs(edges))
+        up[up >= noise] = np.inf
+        down[down >= noise] = np.inf
+        j = int(np.argmin(np.minimum(up, down)))
+        rate = min(up[j], down[j])
+        if rate == np.inf:
+            break
+
+        d = edges[:, j] * (1.0 if up[j] <= down[j] else -1.0)
+        d[bound] = 0.0
+        if not resid[j]:
+            d[basis[j]] = 1.0
+        ad = A @ d
+        ad[tight] = 0.0
+        falling = np.flatnonzero(d < 0.0)
+        caps = np.maximum(w[falling], 0.0) / -d[falling]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = r / ad
+        hit = np.flatnonzero((r * ad > 0.0) & (t < caps.min())
+                             & (np.abs(ad) > 1e-12 * a_max * np.abs(d).sum()))
+        hit = hit[np.argsort(t[hit], kind="stable")]
+        k = int(np.searchsorted(rate + np.cumsum(np.abs(ad[hit])), 0.0))
+        previous = basis.copy()
+        basis[j] = M + hit[k] if k < hit.size else falling[np.argmin(caps)]
+
+    B, rhs = system(basis, y)
+    w = np.linalg.solve(B, rhs)
+    w[basis[basis < M]] = 0.0
+    w = np.maximum(w, 0.0)
+    return w / w.sum()
 
 
 def post_hoc_records(subs: SubmissionSet, truth: TruthStore, s: dt.date,

@@ -205,8 +205,8 @@ def oracle_convex_weights(records, models, levels: QuantileLevelSet,
 
     Objective and subgradient are recomputed from scratch at every
     evaluation, including after each step-halving reset, with the mean
-    pinball loss taken by `.mean()`. The library's loop must return the same
-    weights bit for bit.
+    pinball loss taken by `.mean()`. This is the loop the exact linear
+    program fit replaced; that fit's objective must never be above this one's.
     """
     models = sorted(models)
     full = [r for r in records if all(m in r.values for m in models)]

@@ -220,9 +220,19 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats alone takes about a second to import; no command that
-    # avoids density and simulation should pay for it
-    code = "import sys, qens.cli; print('scipy' in sys.modules)"
+    # scipy.stats alone takes about a second to import and scipy.optimize
+    # doubles the resident memory; no command that avoids density and
+    # simulation should pay for them, and the convex fit needs neither
+    code = ("import sys, qens.cli\n"
+            "from qens import QuantileLevelSet, convex_weights, training\n"
+            "import datetime as dt\n"
+            "day = dt.date(2021, 1, 2)\n"
+            "records = [training.WindowRecord('l', day, day, 1, 10.0 + i,\n"
+            "           {'a': (8.0, 11.0, 14.0), 'b': (9.0 + i, 12.0, 13.0 + i)})\n"
+            "           for i in range(4)]\n"
+            "w = convex_weights(records, ['a', 'b'], QuantileLevelSet((0.25, 0.5, 0.75)))\n"
+            "assert abs(sum(w.weights.values()) - 1.0) < 1e-12\n"
+            "print('scipy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -423,6 +433,23 @@ class TestFileErrorContract:
         assert done.returncode == 0, done.stderr
         assert weights.read_text().startswith(
             "forecast_date,stratum,model,weight,theta,spec_id\n")
+
+    def test_unwritable_bundle_fails_before_training(self, sim_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "forecast_dir": str(sim_dir / "forecasts.csv"),
+            "truth_dir": str(sim_dir / "truth"),
+            "output_dir": str(blocker / "report"),
+            "specs": [{"name": "ens_eq"}]}))
+        calls = []
+        monkeypatch.setattr(qens.reporting, "train_and_forecast",
+                            lambda *a, **kw: calls.append(1))
+        assert run_cli("backtest", "--config", str(config)) == 2
+        assert f"config error: cannot write {blocker / 'report'}" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["score", "peaks", "simulate"])
     def test_output_under_a_file_is_config_error(self, sim_dir, tmp_path, command):

@@ -136,6 +136,36 @@ class TestWindowObjective:
             assert got == pytest.approx(expected, abs=1e-12)
 
 
+class TestWindowScoreTable:
+    @pytest.mark.parametrize("k", [1, 3, 7, 23])
+    def test_matches_per_record_scoring(self, k):
+        # the one-call table equals scoring each forecast alone, bit for bit;
+        # records hold different model subsets and units repeat over horizons
+        rng = np.random.default_rng(30 + k)
+        levels = (QuantileLevelSet((0.5,)) if k == 1 else
+                  QuantileLevelSet(tuple(np.round(np.linspace(0.05, 0.95, k), 10))))
+        records = []
+        for i in range(12):
+            models = [m for m in "abcde" if rng.uniform() < 0.8] or ["a"]
+            records.append(WindowRecord(f"l{i % 2}", sat(i // 4), sat(i // 4 + i % 4 + 1),
+                                        i % 4 + 1, float(rng.uniform(0, 90)),
+                                        {m: tuple(np.sort(rng.uniform(0, 100, size=k)))
+                                         for m in models}))
+        for level_index in (None, *range(k)):
+            want = {}
+            for rec in records:
+                for m, vals in rec.values.items():
+                    terms = wis_terms(levels.levels, vals, rec.y)
+                    score = float(terms.mean() if level_index is None else terms[level_index])
+                    want.setdefault(m, {}).setdefault(
+                        (rec.location, rec.forecast_date), []).append(score.hex())
+            got = window_score_table(records, levels, level_index=level_index)
+            assert {m: {u: [v.hex() for v in vs] for u, vs in units.items()}
+                    for m, units in got.items()} == want
+            assert list(got) == list(want)
+        assert window_score_table([], levels) == {}
+
+
 def scalar_objectives(records, rwis, thetas, combiner, levels, level_index=None):
     """Window totals one theta at a time, written as the per-theta search."""
     totals = []
@@ -262,13 +292,17 @@ class TestFitTheta:
 
 class TestConvexWeights:
     @pytest.mark.parametrize("k", [1, 3, 7, 23])
-    def test_matches_step_by_step_oracle(self, k):
-        # bit-identical weights on random windows, whole and per level
+    def test_matches_linear_program(self, k):
+        # the optimum of the linear program HiGHS solves, on random windows
+        # whole and per level, with integer ties, small counts and a
+        # duplicated component; never worse than the exponentiated-gradient
+        # loop it replaced
+        from scipy.optimize import linprog
         rng = np.random.default_rng(k)
         levels = (QuantileLevelSet((0.5,)) if k == 1 else
                   QuantileLevelSet(tuple(np.round(np.linspace(0.05, 0.95, k), 10))))
         for trial in range(8):
-            models = [f"m{i}" for i in range(int(rng.integers(1, 8)))]
+            models = [f"m{i}" for i in range(1 if trial == 1 else int(rng.integers(2, 8)))]
             records = []
             for i in range(int(rng.integers(3, 16))):
                 y = float(rng.uniform(0, 200))
@@ -276,13 +310,42 @@ class TestConvexWeights:
                 if trial % 2:  # integer counts, ties between components likely
                     y, values = round(y), {m: np.round(v / 10) * 10
                                            for m, v in values.items()}
+                if trial in (4, 5):  # counts 0-5: degenerate vertices everywhere
+                    y, values = round(y / 40), {m: np.round(v / 50)
+                                                for m, v in values.items()}
+                if trial % 3 == 0:
+                    values["dup"] = values["m0"]
                 records.append(WindowRecord("loc", sat(i), sat(i + 1), 1, y,
                                             {m: tuple(v) for m, v in values.items()}))
+            models += ["dup"] if trial % 3 == 0 else []
             level_index = int(rng.integers(k)) if trial % 4 >= 2 else None
+            A, y, tau = _pinball_rows(records, sorted(models), levels, level_index)
+            N, M = A.shape
+            lp = linprog(np.concatenate([np.zeros(M), tau, 1.0 - tau]),
+                         A_eq=np.block([[A, np.eye(N), -np.eye(N)],
+                                        [np.ones((1, M)), np.zeros((1, 2 * N))]]),
+                         b_eq=np.append(y, 1.0), bounds=(0, None), method="highs")
+            assert lp.status == 0
+
             got = convex_weights(records, models, levels, level_index=level_index)
-            want = oracle_convex_weights(records, models, levels, level_index=level_index)
-            assert {m: v.hex() for m, v in got.weights.items()} == \
-                {m: v.hex() for m, v in want.items()}
+            objective = _pinball_objective(A, y, tau, got.weights, sorted(models))
+            assert objective == pytest.approx(lp.fun, rel=1e-9, abs=1e-12)
+            loop = oracle_convex_weights(records, models, levels, level_index=level_index)
+            assert objective <= _pinball_objective(A, y, tau, loop, sorted(models)) * (1 + 1e-12)
+            if trial % 3 == 0:
+                assert got["dup"] == got["m0"]
+            if len(models) == 1:
+                assert got.weights == {models[0]: 1.0}
+            shuffled = [models[i] for i in rng.permutation(len(models))]
+            assert convex_weights(records, shuffled, levels,
+                                  level_index=level_index).weights == got.weights
+
+    def test_non_finite_input_rejected(self, three):
+        records = [WindowRecord("loc", sat(i), sat(i + 1), 1, y,
+                                {"a": (1.0, 2.0, 3.0), "b": (2.0, 3.0, 4.0)})
+                   for i, y in enumerate([2.5, math.nan, 3.0])]
+        with pytest.raises(DataError, match="finite"):
+            convex_weights(records, ["a", "b"], three)
 
     def test_perfect_component_dominates(self, three):
         rng = np.random.default_rng(10)
@@ -340,6 +403,25 @@ class TestConvexWeights:
                         "c": (100 - i - j) / 100.0}
                 best = min(best, _mean_objective(records, models, cand, three))
         assert opt <= best + 1e-3
+
+
+def _pinball_rows(records, models, levels, level_index=None):
+    """One (record, level) row per pinball term over the complete records."""
+    rows, ys, taus = [], [], []
+    for rec in records:
+        if not all(m in rec.values for m in models):
+            continue
+        for k, tau in enumerate(levels.levels):
+            if level_index is None or k == level_index:
+                rows.append([rec.values[m][k] for m in models])
+                ys.append(rec.y)
+                taus.append(tau)
+    return np.array(rows), np.array(ys), np.array(taus)
+
+
+def _pinball_objective(A, y, tau, weights, models):
+    r = y - A @ np.array([weights[m] for m in models])
+    return float(np.maximum(tau * r, (tau - 1.0) * r).sum())
 
 
 def _mean_objective(records, models, weights, levels):
