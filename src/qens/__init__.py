@@ -2,7 +2,7 @@
 
 from .analysis import (AnomalyRecord, PeakRecord, components_to_cumulative_weight,
                        detect_peaks, detect_revisions, lag1_autocorrelation,
-                       pi_width_rank, revision_exclusion_set)
+                       revision_exclusion_set)
 from .baseline import baseline_forecast
 from .combine import WeightVector, combine, combine_values
 from .density import DensityApprox, density_from_quantiles, neg_log_score
@@ -11,10 +11,10 @@ from .errors import (ConfigError, DataError, DuplicateCellError, ParseError,
 from .forecast import (ForecastKey, QuantileForecast, QuantileLevelSet,
                        SubmissionSet, TruthStore, eligible_components,
                        load_forecasts, load_truth_dir, save_forecasts,
-                       save_truth_dir, weekly_increments)
+                       save_truth_dir)
 from .reporting import RunConfig, run
 from .scoring import (RelWisTable, ScoreRecord, coverage_rates, relative_wis,
-                      score_table, standardized_rank, wis, wis_terms)
+                      score_table, wis, wis_terms)
 from .simulate import (ComponentProfile, SimSpec, Wave, persistent_skill_spec,
                        regime_switching_spec, simulate)
 from .training import (EnsembleSpec, build_training_window, convex_weights,

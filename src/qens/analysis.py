@@ -1,5 +1,5 @@
-"""Diagnostics: reporting anomalies, local peaks, interval-width ranks, and
-weight-trajectory summaries."""
+"""Diagnostics: reporting anomalies, local peaks, and weight-trajectory
+summaries."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, ParseError
-from .forecast import (ForecastKey, QuantileForecast, TruthStore, _csv_reader,
-                       _write_csv)
-from .scoring import standardized_rank
+from .forecast import ForecastKey, TruthStore, _csv_reader, _write_csv
 
 REVISION_ABS_THRESHOLD = 20.0
 REVISION_REL_THRESHOLD = 0.4
@@ -107,25 +105,6 @@ def detect_peaks(series: Mapping[dt.date, float] | Sequence[tuple[dt.date, float
         if all(center > v for j, v in enumerate(window) if j != radius):
             out.append(PeakRecord(location, items[i][0], radius))
     return out
-
-
-def pi_width_rank(forecasts: Mapping[str, QuantileForecast],
-                  coverage: float = 0.95) -> dict[str, float]:
-    """Standardized rank of central-interval widths; 0 narrowest, 1 widest.
-
-    Models missing either tail level are skipped.
-    """
-    widths: dict[str, float] = {}
-    for m, f in forecasts.items():
-        try:
-            lo, hi = f.levels.central_interval(coverage)
-        except DataError:
-            continue
-        rounded = [round(t, 10) for t in f.levels.levels]
-        widths[m] = f.values[rounded.index(hi)] - f.values[rounded.index(lo)]
-    if not widths:
-        raise DataError("no forecast carries both tail levels")
-    return standardized_rank(widths)
 
 
 def lag1_autocorrelation(series: Sequence[float]) -> float | None:

@@ -49,8 +49,7 @@ class WeightVector:
         return cls({m: w for m in models})
 
 
-def combine_values(values: np.ndarray, weights: np.ndarray, method: str,
-                   interpolate: bool = True) -> np.ndarray:
+def combine_values(values: np.ndarray, weights: np.ndarray, method: str) -> np.ndarray:
     """Combine the components present in one cell, all levels at once.
 
     `values` has one row per present component (rows ordered by model id)
@@ -65,8 +64,7 @@ def combine_values(values: np.ndarray, weights: np.ndarray, method: str,
     The median gives each positive-weight value, sorted stably (model-id
     order on ties), the midpoint mass position P_m = sum_{j<m} w_j + w_m / 2
     and interpolates the bracketing (P, value) pairs at mass 0.5, clamped at
-    the extremes, exactly as `np.interp` does. With interpolate=False it
-    returns the smallest value whose cumulative weight reaches 0.5.
+    the extremes, exactly as `np.interp` does.
     """
     if method not in ("mean", "median"):
         raise DataError(f"unknown combination method {method!r}")
@@ -93,11 +91,8 @@ def combine_values(values: np.ndarray, weights: np.ndarray, method: str,
     cols = np.arange(values.shape[1])
     batch = (np.arange(len(w))[:, None],) if w.ndim == 3 else ()  # indexes the batch axis
     vals, wts = values[order, cols], w[(*(b[..., None] for b in batch), order, cols)]
-    cum = wts.cumsum(axis=-2)
     last = n - 1
-    if not interpolate:
-        return vals[(*batch, np.minimum((cum < 0.5).sum(axis=-2), last), cols)]
-    pos = cum - wts / 2.0
+    pos = wts.cumsum(axis=-2) - wts / 2.0
     # j: the last positive entry's position at or below 0.5; the clamps
     # below replace the levels where 0.5 lies outside the positions
     j = ((pos <= 0.5) & (np.arange(w.shape[-2])[:, None] < n[..., None, :])).sum(axis=-2) - 1
@@ -113,8 +108,7 @@ def combine_values(values: np.ndarray, weights: np.ndarray, method: str,
 
 
 def combine(forecasts: Mapping[str, QuantileForecast], w: WeightVector,
-            method: str = "median", model_id: str = "ensemble",
-            interpolate: bool = True) -> QuantileForecast:
+            method: str = "median", model_id: str = "ensemble") -> QuantileForecast:
     """Combine component forecasts level by level into one ensemble forecast.
 
     All components must share the same (location, date, target) and level set.
@@ -134,7 +128,7 @@ def combine(forecasts: Mapping[str, QuantileForecast], w: WeightVector,
             raise DataError("component forecast keys do not match")
     values = np.array([f.values for _, f in items])
     weights = np.array([w[m] for m, _ in items])
-    out = combine_values(values, weights, method, interpolate=interpolate)
+    out = combine_values(values, weights, method)
     out = np.maximum.accumulate(np.maximum(out, 0.0))
     key = ForecastKey(model_id, first.key.location, first.key.forecast_date,
                       first.key.target_end_date)

@@ -223,21 +223,6 @@ class TruthStore:
         return self._snapshots[self._dates[-1]] if self._dates else {}
 
 
-def weekly_increments(series: Iterable[tuple[dt.date, float]]) -> list[tuple[dt.date, float]]:
-    """Difference a cumulative Saturday series into weekly counts.
-
-    Output values may be negative; exclusion of negative weeks happens at
-    scoring time, not here.
-    """
-    items = sorted(series)
-    out = []
-    for (d0, v0), (d1, v1) in zip(items, items[1:]):
-        if d1 - d0 != WEEK:
-            raise DataError(f"gap in weekly series between {d0} and {d1}")
-        out.append((d1, v1 - v0))
-    return out
-
-
 class SubmissionSet:
     """All component forecasts, keyed by (model, location, forecast date, target).
 

@@ -41,7 +41,6 @@ class RunConfig:
     levels: QuantileLevelSet = field(default_factory=QuantileLevelSet.seven)
     baseline_model: str = "baseline"
     reference_spec: str | None = None  # defaults to the first equal median spec
-    development_cut: dt.date | None = None
     prospective_start: dt.date | None = None
     anomalies_file: Path | None = None
     apply_exclusions: bool = False
@@ -55,9 +54,6 @@ class RunConfig:
             raise ConfigError("ensemble spec names must be unique")
         if self.reference_spec is not None and self.reference_spec not in names:
             raise ConfigError(f"reference_spec {self.reference_spec!r} names no spec")
-        if (self.development_cut and self.prospective_start
-                and self.development_cut > self.prospective_start):
-            raise ConfigError("development cut must not be after prospective start")
 
     @classmethod
     def from_dict(cls, data: Mapping, base: Path | None = None) -> "RunConfig":
@@ -89,6 +85,9 @@ class RunConfig:
         flag = data.get("apply_exclusions", False)
         if not isinstance(flag, bool):
             raise ConfigError(f"apply_exclusions must be true or false, got {flag!r}")
+        baseline = data.get("baseline_model", "baseline")
+        if not isinstance(baseline, str):
+            raise ConfigError(f"baseline_model must be a string, got {baseline!r}")
         for key in ("forecast_dir", "truth_dir", "output_dir"):
             if key not in data:
                 raise ConfigError(f"run config missing {key!r}")
@@ -98,9 +97,8 @@ class RunConfig:
             output_dir=path_of("output_dir"),
             specs=specs,
             levels=levels,
-            baseline_model=data.get("baseline_model", "baseline"),
+            baseline_model=baseline,
             reference_spec=data.get("reference_spec"),
-            development_cut=_opt_date(data.get("development_cut")),
             prospective_start=_opt_date(data.get("prospective_start")),
             anomalies_file=path_of("anomalies_file"),
             apply_exclusions=flag,
@@ -193,6 +191,10 @@ def run(config: RunConfig) -> Path:
     anomalies: list[AnomalyRecord] = []
     if config.anomalies_file is not None:
         anomalies = load_anomalies(config.anomalies_file)
+    if not any(f.levels == config.levels for f in subs
+               if f.key.model_id != config.baseline_model):
+        raise DataError(f"no component forecast has the {config.levels.K} configured "
+                        "quantile levels")
     dates = subs.forecast_dates()
     if config.baseline_model not in subs.models():
         add_baseline(subs, truth, dates, config.levels,

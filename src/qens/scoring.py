@@ -1,8 +1,8 @@
 """Proper scoring for quantile forecasts.
 
 Implements the weighted interval score (WIS) in its quantile form, one-sided
-empirical coverage, pairwise-aggregated relative WIS (geometric or arithmetic
-aggregation across model pairs), and standardized performance ranks.
+empirical coverage, and pairwise-aggregated relative WIS (geometric or
+arithmetic aggregation across model pairs).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,6 +104,18 @@ def _baseline_component(table: ScoreTable, baseline: str) -> set[str]:
     return reachable
 
 
+def _mean(groups: Iterable[Sequence[float]]) -> float:
+    """Mean of the concatenated groups, summed left to right. The builtin
+    `sum` compensates its rounding from Python 3.12 on, which would make
+    relative WIS vary with the Python version."""
+    total, n = 0.0, 0
+    for values in groups:
+        n += len(values)
+        for v in values:
+            total += v
+    return total / n
+
+
 def relative_wis(table: ScoreTable, baseline: str,
                  aggregation: str = "geometric") -> RelWisTable:
     """Pairwise-aggregated relative WIS, normalized so the baseline scores 1.
@@ -134,40 +146,20 @@ def relative_wis(table: ScoreTable, baseline: str,
             shared = sorted(table[m].keys() & table[m2].keys())
             if not shared:
                 continue
-            num_vals = [v for u in shared for v in table[m][u]]
-            den_vals = [v for u in shared for v in table[m2][u]]
-            num = sum(num_vals) / len(num_vals)
-            den = sum(den_vals) / len(den_vals)
-            ratio = num / den
+            ratio = (_mean([table[m][u] for u in shared])
+                     / _mean([table[m2][u] for u in shared]))
             ratios.append(ratio)
             log_ratios.append(math.log(ratio))
         if aggregation == "geometric":
-            theta[m] = math.exp(sum(log_ratios) / len(log_ratios))
+            theta[m] = math.exp(_mean([log_ratios]))
         else:
-            theta[m] = sum(ratios) / len(ratios)
+            theta[m] = _mean([ratios])
 
     base = theta[baseline]
     rel = {m: t / base for m, t in theta.items()}
     undefined = frozenset(m for m in models if m not in connected)
     return RelWisTable(theta=theta, rel_wis=rel, baseline=baseline,
                        aggregation=aggregation, undefined=undefined)
-
-
-def standardized_rank(values: Mapping[str, float]) -> dict[str, float]:
-    """Ranks on [0, 1]: 0 is the best (smallest) value, 1 the worst.
-
-    Ties receive the mean of their ordinals before standardizing; a single
-    model gets 0.5.
-    """
-    if not values:
-        raise DataError("standardized_rank needs at least one model")
-    models = sorted(values)
-    if len(models) == 1:
-        return {models[0]: 0.5}
-    from scipy.stats import rankdata  # deferred: scipy.stats is slow to import
-    ordinals = rankdata([values[m] for m in models], method="average")
-    scale = len(models) - 1
-    return {m: float((o - 1.0) / scale) for m, o in zip(models, ordinals)}
 
 
 def save_scores(records: Iterable[ScoreRecord], path: str | Path) -> None:

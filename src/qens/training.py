@@ -139,8 +139,6 @@ class WindowRecord:
 
 @dataclass
 class TrainingWindow:
-    forecast_date: dt.date
-    window_dates: tuple[dt.date, ...]
     records: list[WindowRecord]
     levels: QuantileLevelSet
 
@@ -171,7 +169,7 @@ def build_training_window(subs: SubmissionSet, truth: TruthStore, s: dt.date,
                     continue
                 values = {m: subs.get(m, loc, r, t).values for m in models}
                 records.append(WindowRecord(loc, r, t, h, y, values))
-    return TrainingWindow(s, tuple(sorted(window_dates)), records, levels)
+    return TrainingWindow(records, levels)
 
 
 def window_score_table(records: Sequence[WindowRecord], levels: QuantileLevelSet,
@@ -464,7 +462,7 @@ def _stratum_weights(subs: SubmissionSet, truth: TruthStore, s: dt.date,
     for label, horizon, level_index in _strata(spec, levels):
         records = [r for r in window.records
                    if horizon is None or r.horizon == horizon]
-        sub_window = TrainingWindow(s, window.window_dates, records, levels)
+        sub_window = TrainingWindow(records, levels)
         table = window_score_table(records, levels, level_index=level_index)
         if baseline_model not in table:
             log.warning("%s %s [%s]: baseline unscored in window; equal weights",

@@ -1,4 +1,4 @@
-"""Revision anomalies, exclusion windows, peaks, ranks, and weight diagnostics."""
+"""Revision anomalies, exclusion windows, peaks, and weight diagnostics."""
 
 import datetime as dt
 
@@ -7,12 +7,12 @@ import pytest
 
 from qens import (DataError, ForecastKey, ParseError, QuantileLevelSet,
                   TruthStore, components_to_cumulative_weight, detect_peaks,
-                  detect_revisions, lag1_autocorrelation, pi_width_rank,
+                  detect_revisions, lag1_autocorrelation,
                   revision_exclusion_set)
 from qens.analysis import (AnomalyRecord, load_anomalies, save_anomalies,
                            save_peaks)
 
-from conftest import make_forecast, oracle_pearson, sat
+from conftest import oracle_pearson, sat
 
 
 class TestDetectRevisions:
@@ -112,31 +112,6 @@ class TestDetectPeaks:
             for off in range(-5, 6):
                 if off != 0:
                     assert series[center] > series[center + off * dt.timedelta(weeks=1)]
-
-
-class TestPiWidthRank:
-    def test_two_models(self, seven):
-        narrow = make_forecast("a", "loc", sat(0), 1, seven,
-                               [10, 11, 12, 13, 14, 15, 16])
-        wide = make_forecast("b", "loc", sat(0), 1, seven,
-                             [0, 5, 10, 13, 16, 21, 26])
-        ranks = pi_width_rank({"a": narrow, "b": wide})
-        assert ranks == {"a": 0.0, "b": 1.0}
-
-    def test_equal_widths_tie(self, seven):
-        f = [10, 11, 12, 13, 14, 15, 16]
-        ranks = pi_width_rank({
-            "a": make_forecast("a", "loc", sat(0), 1, seven, f),
-            "b": make_forecast("b", "loc", sat(0), 1, seven, f),
-        })
-        assert ranks == {"a": 0.5, "b": 0.5}
-
-    def test_missing_tails_skipped(self, seven, three):
-        full = make_forecast("a", "loc", sat(0), 1, seven,
-                             [10, 11, 12, 13, 14, 15, 16])
-        no_tails = make_forecast("b", "loc", sat(0), 1, three, [1, 2, 3])
-        ranks = pi_width_rank({"a": full, "b": no_tails})
-        assert "b" not in ranks and ranks["a"] == 0.5
 
 
 class TestLag1Autocorrelation:

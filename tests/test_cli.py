@@ -13,6 +13,7 @@ import pytest
 
 import qens
 from qens.cli import main
+from qens.reporting import RunConfig
 
 SRC = Path(qens.__file__).resolve().parents[1]
 
@@ -186,6 +187,13 @@ class TestBacktest:
             assert ((tmp_path / "report1" / name).read_bytes()
                     == (tmp_path / "report2" / name).read_bytes()), name
 
+    def test_readme_run_config_parses(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Run config JSON (backtest)", 1)[1]
+        block = section.split("```json", 1)[1].split("```", 1)[0]
+        config = RunConfig.from_dict(json.loads(block))
+        assert [s.name for s in config.specs] == [config.reference_spec]
+
 
 class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path):
@@ -323,9 +331,10 @@ class TestBadInputExitCodes:
         lambda c: {**c, "levels": ["a"]},
         lambda c: {**c, "specs": [{"name": "e", "top_k": "3"}]},
         lambda c: {**c, "specs": [{"name": "e", "max_weight": "0.5"}]},
+        lambda c: {**c, "baseline_model": 5},
         lambda c: [c],
     ], ids=["bad_date", "string_seed", "string_levels", "string_top_k",
-            "string_max_weight", "array_config"])
+            "string_max_weight", "integer_baseline_model", "array_config"])
     def test_mistyped_config_is_config_error(self, sim_dir, tmp_path, capsys,
                                              edit):
         config = tmp_path / "run.json"
@@ -343,7 +352,9 @@ class TestBadInputExitCodes:
         lambda c: {**c, "prospective_strat": "2021-03-06"},
         lambda c: {**c, "apply_exclusions": "false"},
         lambda c: {**c, "reference_spec": "ens_typo"},
-    ], ids=["unknown_key", "string_apply_exclusions", "unknown_reference_spec"])
+        lambda c: {**c, "development_cut": "2021-03-06"},
+    ], ids=["unknown_key", "string_apply_exclusions", "unknown_reference_spec",
+            "removed_development_cut"])
     def test_config_it_would_misread_is_config_error(self, sim_dir, tmp_path, capsys,
                                                      edit):
         config = tmp_path / "run.json"
@@ -356,6 +367,22 @@ class TestBadInputExitCodes:
         assert run_cli("backtest", "--config", str(config)) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
+
+    def test_level_set_no_component_carries_is_data_error(self, sim_dir, tmp_path,
+                                                          capsys):
+        # the simulated data carries 7 levels; only a generated baseline
+        # would carry 23, so the run would ensemble the baseline alone
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "forecast_dir": str(sim_dir / "forecasts.csv"),
+            "truth_dir": str(sim_dir / "truth"),
+            "output_dir": str(tmp_path / "report"),
+            "levels": 23,
+            "specs": [{"name": "ens_eq"}],
+        }))
+        assert run_cli("backtest", "--config", str(config)) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "report" / "weights.csv").exists()
 
     @pytest.mark.parametrize("text", ['{"start": "2021-99-01"}', '{"levels": ["a"]}',
                                       '{"levels": 5}', '{"components": [1]}', "{", None])

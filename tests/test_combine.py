@@ -11,20 +11,20 @@ from qens import (DataError, QuantileLevelSet, ValidationError, WeightVector,
 from conftest import make_forecast, oracle_weighted_median, sat
 
 
-def one_level(slice_, w, method, interpolate=True):
+def one_level(slice_, w, method):
     """The kernel on one quantile level; rows ordered by model id."""
     models = sorted(slice_)
     values = np.array([[slice_[m]] for m in models])
     weights = np.array([w[m] for m in models])
-    return float(combine_values(values, weights, method, interpolate)[0])
+    return float(combine_values(values, weights, method)[0])
 
 
 def level_mean(slice_, w):
     return one_level(slice_, w, "mean")
 
 
-def level_median(slice_, w, interpolate=True):
-    return one_level(slice_, w, "median", interpolate)
+def level_median(slice_, w):
+    return one_level(slice_, w, "median")
 
 
 class TestWeightVector:
@@ -124,11 +124,6 @@ class TestWeightedMedian:
     def test_zero_weight_component_ignored(self):
         w = WeightVector({"a": 0.5, "b": 0.0, "c": 0.5})
         assert level_median({"a": 1.0, "b": 2.0, "c": 3.0}, w) == 2.0
-
-    def test_non_interpolated_variant(self):
-        # smallest value whose cumulative weight reaches 0.5
-        w = WeightVector.uniform(["a", "b"])
-        assert level_median({"a": 1.0, "b": 3.0}, w, interpolate=False) == 1.0
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -272,20 +267,10 @@ class TestCombineValuesKernel:
             order = np.argsort(raw, kind="stable")
             values, raw = values[order], raw[order]
         weights = raw if per_level else np.repeat(raw[:, None], k, axis=1)
-        for interpolate in (True, False):
-            got = combine_values(values, raw, "median", interpolate)
-            for col in range(k):
-                v, w = values[:, col], weights[:, col]
-                if interpolate:
-                    expected = oracle_weighted_median(v, w)
-                else:
-                    pairs = sorted((x, y) for x, y in zip(v, w) if y > 0)
-                    acc, expected = 0.0, None
-                    for x, y in pairs:
-                        acc += y / w.sum()
-                        if expected is None and acc >= 0.5:
-                            expected = x
-                assert got[col] == pytest.approx(expected, abs=1e-12)
+        got = combine_values(values, raw, "median")
+        for col in range(k):
+            expected = oracle_weighted_median(values[:, col], weights[:, col])
+            assert got[col] == pytest.approx(expected, abs=1e-12)
         mean = combine_values(values, raw, "mean")
         for col in range(k):
             v, w = values[:, col], weights[:, col]
@@ -315,13 +300,12 @@ class TestCombineValuesKernel:
                     raw[row, rng.integers(0, m), col] = rng.uniform(0.1, 1.0)
         if rng.random() < 0.3:
             raw[:, rng.integers(0, m)] = 1e-320  # subnormal weights
-        for method, interpolate in (("mean", True), ("median", True),
-                                    ("median", False)):
-            batched = combine_values(values, raw, method, interpolate)
+        for method in ("mean", "median"):
+            batched = combine_values(values, raw, method)
             assert batched.shape == (t, k)
             for row in range(t):
                 single = raw[row] if per_level else raw[row, :, 0]
-                expected = combine_values(values, single, method, interpolate)
+                expected = combine_values(values, single, method)
                 assert batched[row].tobytes() == expected.tobytes()
 
     def test_batch_with_a_massless_row_rejected(self):

@@ -11,7 +11,7 @@ from qens import (DataError, DuplicateCellError, ForecastKey, ParseError,
                   QuantileForecast, QuantileLevelSet, SubmissionSet,
                   TruthStore, ValidationError, eligible_components,
                   load_forecasts, load_truth_dir, save_forecasts,
-                  save_truth_dir, weekly_increments)
+                  save_truth_dir)
 from qens.forecast import WEEK
 from qens.reporting import load_forecast_dir
 
@@ -180,23 +180,6 @@ class TestTruthStore:
                 if week in late and value != late[week]:
                     # later query may only reflect later snapshots
                     assert late[week] == 25.0
-
-
-class TestWeeklyIncrements:
-    def test_differences(self):  # hand-computed
-        series = [(sat(0), 100.0), (sat(1), 150.0), (sat(2), 150.0)]
-        assert weekly_increments(series) == [(sat(1), 50.0), (sat(2), 0.0)]
-
-    def test_negative_retained(self):  # hand-computed
-        series = [(sat(0), 100.0), (sat(1), 90.0)]
-        assert weekly_increments(series) == [(sat(1), -10.0)]
-
-    def test_single_observation_empty(self):
-        assert weekly_increments([(sat(0), 5.0)]) == []
-
-    def test_gap_rejected(self):
-        with pytest.raises(DataError):
-            weekly_increments([(sat(0), 1.0), (sat(2), 2.0)])
 
 
 class TestSubmissionSet:

@@ -1,4 +1,4 @@
-"""Interval scoring, relative skill, ranks, and coverage."""
+"""Interval scoring, relative skill, and coverage."""
 
 import csv
 import math
@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qens import (DataError, QuantileLevelSet, TruthStore, coverage_rates,
-                  relative_wis, score_table, standardized_rank, wis, wis_terms)
+                  relative_wis, score_table, wis, wis_terms)
+from qens import scoring
 from qens.reporting import score_submissions
 from qens.scoring import ScoreRecord, save_scores
 
@@ -148,22 +149,28 @@ class TestRelativeWis:
         ari = relative_wis(table, "baseline", "arithmetic").rel_wis
         assert sorted(geo, key=geo.get) == sorted(ari, key=ari.get)
 
+    @pytest.mark.parametrize("aggregation", ["geometric", "arithmetic"])
+    def test_sums_do_not_follow_the_builtin_sum(self, monkeypatch, aggregation):
+        # Python 3.12+ compensates `sum` of floats (Neumaier); on these scores
+        # that moves the baseline's theta by an ulp, so a bundle would differ
+        # between Python versions. Relative WIS must add left to right.
+        def neumaier_sum(values, start=0):
+            total, comp = float(start), 0.0
+            for v in values:
+                t = total + v
+                comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+                total = t
+            return total + comp
 
-class TestStandardizedRank:
-    def test_two_models(self):
-        assert standardized_rank({"a": 0.5, "b": 1.2}) == {"a": 0.0, "b": 1.0}
-
-    def test_three_way_tie(self):
-        ranks = standardized_rank({"a": 1.0, "b": 1.0, "c": 1.0})
-        assert ranks == {"a": 0.5, "b": 0.5, "c": 0.5}
-
-    def test_single_model(self):
-        assert standardized_rank({"a": 3.0}) == {"a": 0.5}
-
-    def test_five_distinct(self):
-        values = {m: float(i) for i, m in enumerate("abcde")}
-        ranks = standardized_rank(values)
-        assert [ranks[m] for m in "abcde"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        table = {"baseline": {("x", sat(0)): [1e16, 1.0, 1.0]},
+                 "m": {("x", sat(0)): [3.0, 1e16, 1.0]}}
+        plain = relative_wis(table, "baseline", aggregation)
+        monkeypatch.setattr(scoring, "sum", neumaier_sum, raising=False)
+        patched = relative_wis(table, "baseline", aggregation)
+        for field in ("theta", "rel_wis"):
+            got, want = getattr(patched, field), getattr(plain, field)
+            assert ({m: v.hex() for m, v in got.items()}
+                    == {m: v.hex() for m, v in want.items()})
 
 
 class TestScoreCSV:

@@ -110,8 +110,7 @@ def window_from(values_by_model, y_values, levels):
         records.append(WindowRecord("loc", sat(i), sat(i + 1), 1, float(y),
                                     {m: tuple(v) for m, v in
                                      values_by_model(i).items()}))
-    return TrainingWindow(sat(len(y_values)), tuple(sat(i) for i in
-                          range(len(y_values))), records, levels)
+    return TrainingWindow(records, levels)
 
 
 class TestWindowObjective:
@@ -284,7 +283,7 @@ class TestFitTheta:
         assert all(v == 1.0 / 3.0 for v in w.weights.values())
 
     def test_empty_window_rejected(self, three):
-        window = TrainingWindow(sat(3), (sat(0),), [], three)
+        window = TrainingWindow([], three)
         spec = EnsembleSpec(name="t", weighting="rel_wis_sigmoid")
         with pytest.raises(DataError):
             fit_theta(window, {"a": 1.0}, spec)
