@@ -12,10 +12,10 @@ import click
 from .analysis import (detect_peaks, detect_revisions, save_anomalies,
                        save_peaks)
 from .errors import ConfigError, DataError, QensError
-from .forecast import (QuantileLevelSet, SubmissionSet, load_truth_dir,
-                       save_forecasts, save_truth_dir)
-from .reporting import (RunConfig, add_baseline, load_forecast_dir, run,
-                        save_coverage, save_weight_log, score_submissions)
+from .forecast import (QuantileLevelSet, load_truth_dir, save_forecasts,
+                       save_truth_dir)
+from .reporting import (RunConfig, common_levels, load_forecast_dir, load_inputs,
+                        run, save_coverage, save_weight_log, score_submissions)
 from .scoring import relative_wis, save_rel_wis, save_scores, score_table
 from .simulate import SimSpec, simulate
 from .training import EnsembleSpec, train_and_forecast
@@ -99,14 +99,9 @@ def simulate_cmd(config, seed, out, levels):
 def ensemble(forecasts, truth_dir, config, out, weights_out, baseline):
     """Train (if configured) and emit one ensemble over all forecast dates."""
     spec = EnsembleSpec.from_dict(_read_json(config))
-    subs = load_forecast_dir(forecasts)
-    truth = load_truth_dir(truth_dir)
-    levels = _common_levels(subs)
-    dates = subs.forecast_dates()
-    if baseline not in subs.models():
-        add_baseline(subs, truth, dates, levels, model_id=baseline)
-    ens, wlog = train_and_forecast(subs, truth, spec, dates, levels,
-                                   baseline_model=baseline)
+    subs, truth = load_inputs(forecasts, truth_dir, baseline)
+    ens, wlog = train_and_forecast(subs, truth, spec, subs.forecast_dates(),
+                                   common_levels(subs), baseline_model=baseline)
     save_forecasts(ens, out)
     if weights_out is not None:
         save_weight_log(wlog, Path(weights_out))
@@ -140,8 +135,7 @@ def score(forecasts, truth_dir, out):
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 def relwis(forecasts, truth_dir, baseline, aggregation, out):
     """Pairwise relative skill of every model against a baseline."""
-    subs = load_forecast_dir(forecasts)
-    truth = load_truth_dir(truth_dir)
+    subs, truth = load_inputs(forecasts, truth_dir, baseline)
     records = score_submissions(subs, truth)
     if not records:
         raise DataError("no forecast overlaps observed final truth")
@@ -172,11 +166,9 @@ def coverage(forecasts, truth_dir, out):
 def peaks(truth_dir, as_of, out):
     """Detect local epidemic peaks in the truth series."""
     truth = load_truth_dir(truth_dir)
-    snap = truth.snapshot(_parse_date(as_of)) if as_of else truth.latest()
-    found = []
-    for loc in sorted({l for l, _ in snap}):
-        series = {t: v for (l, t), v in snap.items() if l == loc}
-        found.extend(detect_peaks(series, location=loc))
+    snap = truth.by_location(_parse_date(as_of) if as_of else truth.snapshot_dates[-1])
+    found = [p for loc, series in sorted(snap.items())
+             for p in detect_peaks(series, location=loc)]
     save_peaks(found, out)
     click.echo(f"wrote {len(found)} peaks to {out}")
 
@@ -190,19 +182,14 @@ def peaks(truth_dir, as_of, out):
 def anomalies(truth_dir, initial_as_of, out):
     """Flag substantially revised observations between two truth snapshots."""
     truth = load_truth_dir(truth_dir)
-    final = truth.latest()
-    if initial_as_of:
-        initial = truth.snapshot(_parse_date(initial_as_of))
-    else:
-        initial = {}  # first value ever reported for each (location, week)
-        for d in truth.snapshot_dates:
-            for cell, v in truth.snapshot(d).items():
-                initial.setdefault(cell, v)
-    found = []
-    for loc in sorted({l for l, _ in final}):
-        found.extend(detect_revisions({t: v for (l, t), v in initial.items() if l == loc},
-                                      {t: v for (l, t), v in final.items() if l == loc},
-                                      location=loc))
+    final = truth.by_location(truth.snapshot_dates[-1])
+    initial: dict[str, dict[dt.date, float]] = {}
+    # the initial snapshot, or the first value ever reported: earlier snapshots overwrite
+    for d in ([_parse_date(initial_as_of)] if initial_as_of else truth.snapshot_dates[::-1]):
+        for loc, series in truth.by_location(d).items():
+            initial.setdefault(loc, {}).update(series)
+    found = [r for loc, series in sorted(final.items())
+             for r in detect_revisions(initial.get(loc, {}), dict(series), location=loc)]
     save_anomalies(found, out)
     click.echo(f"wrote {len(found)} anomalies to {out}")
 
@@ -217,13 +204,6 @@ def backtest(config):
 
 
 cli.add_command(backtest, name="report")
-
-
-def _common_levels(subs: SubmissionSet) -> QuantileLevelSet:
-    levels = {f.levels for f in subs}
-    if len(levels) != 1:
-        raise DataError("component forecasts use inconsistent quantile levels")
-    return next(iter(levels))
 
 
 def main(argv=None) -> int:

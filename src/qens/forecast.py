@@ -207,17 +207,22 @@ class TruthStore:
         d = self._applicable(as_of)
         return {} if d is None else self._snapshots[d]
 
-    def as_of(self, as_of: dt.date, location: str) -> list[tuple[dt.date, float]]:
-        """Series of (target_end_date, value) from the applicable snapshot."""
+    def by_location(self, as_of: dt.date) -> dict[str, list[tuple[dt.date, float]]]:
+        """Each location's (target_end_date, value) series, sorted by date, from
+        the applicable snapshot; empty when none. Shared: do not modify."""
         d = self._applicable(as_of)
         if d is None:
-            return []
+            return {}
         if d not in self._series:
             by_location: dict[str, list[tuple[dt.date, float]]] = {}
             for (loc, t), v in sorted(self._snapshots[d].items()):
                 by_location.setdefault(loc, []).append((t, v))
             self._series[d] = by_location
-        return list(self._series[d].get(location, ()))
+        return self._series[d]
+
+    def as_of(self, as_of: dt.date, location: str) -> list[tuple[dt.date, float]]:
+        """Series of (target_end_date, value) from the applicable snapshot."""
+        return list(self.by_location(as_of).get(location, ()))
 
     def latest(self) -> dict[tuple[str, dt.date], float]:
         return self._snapshots[self._dates[-1]] if self._dates else {}

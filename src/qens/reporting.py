@@ -20,7 +20,7 @@ from .analysis import (AnomalyRecord, detect_peaks, load_anomalies,
                        revision_exclusion_set, save_peaks)
 from .baseline import baseline_forecast
 from .errors import ConfigError, DataError
-from .forecast import (HORIZONS, WEEK, QuantileForecast, QuantileLevelSet,
+from .forecast import (WEEK, QuantileForecast, QuantileLevelSet,
                        SubmissionSet, TruthStore, _output_errors, _write_csv,
                        load_forecasts, load_truth_dir, save_forecasts)
 from .scoring import (ScoreRecord, coverage_rates, relative_wis, save_rel_wis,
@@ -124,6 +124,32 @@ def load_forecast_dir(path: Path) -> SubmissionSet:
     return load_forecasts(*files)
 
 
+def common_levels(subs: SubmissionSet) -> QuantileLevelSet:
+    """The one level set every forecast uses; a DataError when they differ."""
+    levels = {f.levels for f in subs}
+    if len(levels) != 1:
+        raise DataError("component forecasts use inconsistent quantile levels")
+    return next(iter(levels))
+
+
+def load_inputs(forecast_dir: Path, truth_dir: Path, baseline_model: str = "baseline",
+                levels: QuantileLevelSet | None = None,
+                seed: int = 0) -> tuple[SubmissionSet, TruthStore]:
+    """Forecasts and truth; random-walk forecasts are generated for `baseline_model`
+    when it has none, at `levels` (which another model must carry) or else at
+    the forecasts' `common_levels`."""
+    subs = load_forecast_dir(forecast_dir)
+    truth = load_truth_dir(truth_dir)
+    if levels is not None and not any(f.levels == levels for f in subs
+                                      if f.key.model_id != baseline_model):
+        raise DataError(f"no component forecast has the {levels.K} configured "
+                        "quantile levels")
+    if baseline_model not in subs.models():
+        add_baseline(subs, truth, subs.forecast_dates(), levels or common_levels(subs),
+                     model_id=baseline_model, seed=seed)
+    return subs, truth
+
+
 def add_baseline(subs: SubmissionSet, truth: TruthStore, dates: Sequence[dt.date],
                  levels: QuantileLevelSet, model_id: str = "baseline",
                  seed: int = 0) -> None:
@@ -145,6 +171,16 @@ def add_baseline(subs: SubmissionSet, truth: TruthStore, dates: Sequence[dt.date
                     subs.add(f)
 
 
+def _observed(subs: SubmissionSet,
+              truth: TruthStore) -> list[tuple[QuantileForecast, float]]:
+    """Each forecast with its final observation, in `subs` order, unless that is
+    missing or negative (NaN is kept, for the scoring kernel to reject)."""
+    final = truth.latest()
+    return [(f, y) for f in subs
+            if (y := final.get((f.key.location, f.key.target_end_date))) is not None
+            and not y < 0]
+
+
 def score_submissions(subs: SubmissionSet, truth: TruthStore,
                       exclusions: set | None = None) -> list[ScoreRecord]:
     """WIS of every forecast against final truth; negative truth is dropped.
@@ -152,15 +188,9 @@ def score_submissions(subs: SubmissionSet, truth: TruthStore,
     Scores each level set's forecasts in one kernel call; records keep the
     order of `subs`.
     """
-    final = truth.latest()
-    scorable: list[tuple[QuantileForecast, float]] = []
-    for f in subs:
-        if exclusions and f.key in exclusions:
-            continue
-        y = final.get((f.key.location, f.key.target_end_date))
-        if y is None or y < 0:
-            continue
-        scorable.append((f, y))
+    scorable = _observed(subs, truth)
+    if exclusions:
+        scorable = [(f, y) for f, y in scorable if f.key not in exclusions]
     groups: dict[int, list[int]] = {}  # level sets are shared, so group by identity
     for i, (f, _) in enumerate(scorable):
         groups.setdefault(id(f.levels), []).append(i)
@@ -186,31 +216,17 @@ def run(config: RunConfig) -> Path:
     out = Path(config.output_dir)
     with _output_errors(out):  # an unwritable bundle path fails before any work
         out.mkdir(parents=True, exist_ok=True)
-    subs = load_forecast_dir(config.forecast_dir)
-    truth = load_truth_dir(config.truth_dir)
     anomalies: list[AnomalyRecord] = []
     if config.anomalies_file is not None:
         anomalies = load_anomalies(config.anomalies_file)
-    if not any(f.levels == config.levels for f in subs
-               if f.key.model_id != config.baseline_model):
-        raise DataError(f"no component forecast has the {config.levels.K} configured "
-                        "quantile levels")
+    subs, truth = load_inputs(config.forecast_dir, config.truth_dir,
+                              config.baseline_model, config.levels, config.baseline_seed)
     dates = subs.forecast_dates()
-    if config.baseline_model not in subs.models():
-        add_baseline(subs, truth, dates, config.levels,
-                     model_id=config.baseline_model, seed=config.baseline_seed)
 
     ensembles = SubmissionSet()
     weight_rows: list[dict] = []
     for spec in config.specs:
-        spec_dates = dates
-        if spec.weighting == "post_hoc":
-            final, locations = truth.latest(), subs.locations()
-            spec_dates = [s for s in dates
-                          if all((loc, s + h * WEEK) in final
-                                 for loc in locations for h in HORIZONS)]
-        ens, wlog = train_and_forecast(subs, truth, spec, spec_dates,
-                                       config.levels,
+        ens, wlog = train_and_forecast(subs, truth, spec, dates, config.levels,
                                        baseline_model=config.baseline_model)
         ensembles.merge(ens)
         weight_rows.extend(wlog)
@@ -232,8 +248,8 @@ def run(config: RunConfig) -> Path:
     save_weight_log(weight_rows, out / "weights.csv")
     reference = config.reference_spec or _default_reference(config.specs)
     _write_wis_differences(records, reference, config, out / "wis_diff.csv")
-    peaks = _write_peaks(truth, scored, config, out)
-    _write_peak_errors(scored, truth, peaks, config, out / "peak_errors.csv")
+    peaks = _write_peaks(truth, scored, out / "peaks.csv")
+    _write_peak_errors(scored, truth, peaks, out / "peak_errors.csv")
     return out
 
 
@@ -264,12 +280,9 @@ def _write_scores(records: Sequence[ScoreRecord], config: RunConfig,
 
 def save_coverage(subs: SubmissionSet, truth: TruthStore, path: Path) -> None:
     """Coverage export: model,level,coverage against final truth."""
-    final = truth.latest()
     by_model: dict[str, list[tuple[QuantileForecast, float]]] = {}
-    for f in subs:
-        y = final.get((f.key.location, f.key.target_end_date))
-        if y is not None and y >= 0:
-            by_model.setdefault(f.key.model_id, []).append((f, y))
+    for f, y in _observed(subs, truth):
+        by_model.setdefault(f.key.model_id, []).append((f, y))
     rows = []
     for m, scorable in sorted(by_model.items()):
         levels = scorable[0][0].levels
@@ -312,32 +325,27 @@ def _write_wis_differences(records: Sequence[ScoreRecord], reference: str,
                rows)
 
 
-def _write_peaks(truth: TruthStore, subs: SubmissionSet, config: RunConfig,
-                 out: Path) -> list:
-    final = truth.latest()
+def _write_peaks(truth: TruthStore, subs: SubmissionSet, path: Path) -> list:
+    final = truth.by_location(truth.snapshot_dates[-1])
     peaks = []
     for loc in subs.locations():
-        series = {t: v for (l, t), v in final.items() if l == loc}
-        peaks.extend(detect_peaks(series, location=loc))
-    save_peaks(peaks, out / "peaks.csv")
+        peaks.extend(detect_peaks(final.get(loc, ()), location=loc))
+    save_peaks(peaks, path)
     return peaks
 
 
-def _write_peak_errors(subs: SubmissionSet, truth: TruthStore, peaks,
-                       config: RunConfig, path: Path) -> None:
+def _write_peak_errors(subs: SubmissionSet, truth: TruthStore, peaks, path: Path) -> None:
     """Predictive-median errors overall and for forecasts issued pre-peak."""
-    final = truth.latest()
     peak_weeks = {(p.location, p.peak_week) for p in peaks}
     median_at: dict[int, int | None] = {}  # per level set, by identity
 
     def rows():
-        for key in sorted(subs.forecasts):
-            f = subs.forecasts[key]
+        for f, y in sorted(_observed(subs, truth), key=lambda pair: pair[0].key):
             if id(f.levels) not in median_at:
                 rounded = [round(t, 10) for t in f.levels.levels]
                 median_at[id(f.levels)] = rounded.index(0.5) if 0.5 in rounded else None
-            k, y = median_at[id(f.levels)], final.get((key.location, key.target_end_date))
-            if k is None or y is None or y < 0:
+            k, key = median_at[id(f.levels)], f.key
+            if k is None:
                 continue
             pre_peak = (key.location, key.forecast_date + WEEK) in peak_weeks
             yield [key.model_id, key.location, key.forecast_date.isoformat(),

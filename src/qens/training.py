@@ -506,11 +506,16 @@ def train_and_forecast(subs: SubmissionSet, truth: TruthStore, spec: EnsembleSpe
     For each date s, weights are estimated from the most recent window of
     forecast dates using only the truth snapshot available at s (post hoc
     weighting is the deliberate, labeled exception), then applied per location
-    with missingness renormalization. Returns the ensemble forecasts plus a
-    weight log with one row per (date, stratum, model).
+    with missingness renormalization. Post hoc weighting fits only the dates
+    where every location has final truth at every horizon. Returns the
+    ensemble forecasts plus a weight log with one row per (date, stratum, model).
     """
     grid = grid or default_theta_grid()
     dates = sorted(dates)
+    if spec.weighting == "post_hoc":
+        final, locations = truth.latest(), subs.locations()
+        dates = [s for s in dates
+                 if all((loc, s + h * WEEK) in final for loc in locations for h in HORIZONS)]
     out = SubmissionSet()
     weight_log: list[dict] = []
 

@@ -36,6 +36,27 @@ def sim_dir(tmp_path_factory) -> Path:
     return out / "data"
 
 
+POST_HOC_SPEC = {"name": "ph", "combiner": "mean", "weighting": "post_hoc"}
+
+
+@pytest.fixture(scope="module")
+def short_truth_run(sim_dir, tmp_path_factory) -> Path:
+    """A post hoc backtest on truth without its last four snapshots, whose
+    final truth then stops before the last targets."""
+    root = tmp_path_factory.mktemp("short_truth")
+    shutil.copytree(sim_dir / "truth", root / "truth")
+    for path in sorted((root / "truth").glob("*.csv"))[-4:]:
+        path.unlink()
+    (root / "spec.json").write_text(json.dumps(POST_HOC_SPEC))
+    (root / "run.json").write_text(json.dumps({
+        "forecast_dir": str(sim_dir / "forecasts.csv"), "truth_dir": "truth",
+        "output_dir": "report", "specs": [POST_HOC_SPEC],
+        "baseline_model": "sharp",  # a forecast model: no baseline to generate
+    }))
+    assert run_cli("backtest", "--config", str(root / "run.json")) == 0
+    return root
+
+
 class TestSimulate:
     def test_outputs_exist(self, sim_dir):
         assert (sim_dir / "forecasts.csv").exists()
@@ -70,6 +91,21 @@ class TestScoreAndRelwis:
             rows = {r["model"]: r for r in csv.DictReader(fh)}
         assert rows["sharp"]["rel_wis"] == "1.0"
 
+    def test_relwis_generates_absent_baseline(self, sim_dir, tmp_path):
+        # the early forecast dates only: the baseline's cost grows with history
+        lines = (sim_dir / "forecasts.csv").read_text().splitlines(keepends=True)
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text("".join(lines[:1] + [line for line in lines[1:]
+                                                   if line.split(",")[1] < "2021-04"]))
+        out = tmp_path / "rwis.csv"
+        code = run_cli("relwis", "--forecasts", str(forecasts),
+                       "--truth", str(sim_dir / "truth"),
+                       "--baseline", "baseline", "--out", str(out))
+        assert code == 0
+        with open(out) as fh:
+            rows = {r["model"]: r for r in csv.DictReader(fh)}
+        assert rows["baseline"]["rel_wis"] == "1.0" and len(rows) == 6
+
     def test_coverage(self, sim_dir, tmp_path):
         out = tmp_path / "coverage.csv"
         code = run_cli("coverage", "--forecasts", str(sim_dir / "forecasts.csv"),
@@ -95,6 +131,21 @@ class TestEnsemble:
         assert rows and all(r["model"] == "ens" for r in rows)
         assert (tmp_path / "w.csv").exists()
 
+    def test_post_hoc_on_short_truth_matches_backtest(self, sim_dir, short_truth_run,
+                                                     tmp_path):
+        out = tmp_path / "ens.csv"
+        code = run_cli("ensemble", "--forecasts", str(sim_dir / "forecasts.csv"),
+                       "--truth", str(short_truth_run / "truth"),
+                       "--config", str(short_truth_run / "spec.json"),
+                       "--baseline", "sharp", "--out", str(out))
+        assert code == 0
+        bundle = short_truth_run / "report" / "ensemble_forecasts.csv"
+        assert out.read_bytes() == bundle.read_bytes()
+        with open(out) as fh:
+            dates = {r["forecast_date"] for r in csv.DictReader(fh)}
+        last = sorted((short_truth_run / "truth").glob("*.csv"))[-1].stem
+        assert dates and max(dates) < last  # dates without final truth are not fit
+
 
 class TestDiagnostics:
     def test_peaks(self, sim_dir, tmp_path):
@@ -102,6 +153,14 @@ class TestDiagnostics:
         assert run_cli("peaks", "--truth", str(sim_dir / "truth"),
                        "--out", str(out)) == 0
         assert out.exists()
+
+    def test_peaks_match_bundle(self, short_truth_run, tmp_path):
+        # every truth location has forecasts, so both scan the same series
+        out = tmp_path / "peaks.csv"
+        assert run_cli("peaks", "--truth", str(short_truth_run / "truth"),
+                       "--out", str(out)) == 0
+        assert out.read_bytes() == (short_truth_run / "report" / "peaks.csv").read_bytes()
+        assert len(out.read_text().splitlines()) > 1
 
     def test_anomalies(self, sim_dir, tmp_path):
         out = tmp_path / "anom.csv"
