@@ -57,9 +57,9 @@ def combine_values(values: np.ndarray, weights: np.ndarray, method: str) -> np.n
     weights, per row (M,) or per row and level (M, K); each level's weights
     are renormalized over the rows. A leading batch axis, (T, M, K) or
     (T, M, 1), gives (T, K) with row t bit for bit the call on `weights[t]`.
-    Returns the levels before flooring and monotonization. This one kernel
-    serves `combine`, the training objective and forecast emission, so the
-    three agree bit for bit.
+    Returns the levels before flooring and monotonization; `_emit` adds those
+    two, and that one emission step serves `combine`, the training objective
+    and forecast emission, so the three agree bit for bit.
 
     The median gives each positive-weight value, sorted stably (model-id
     order on ties), the midpoint mass position P_m = sum_{j<m} w_j + w_m / 2
@@ -107,6 +107,12 @@ def combine_values(values: np.ndarray, weights: np.ndarray, method: str) -> np.n
     return np.where(0.5 <= pos[..., 0, :], vals[..., 0, :], inner)
 
 
+def _emit(values: np.ndarray, weights: np.ndarray, method: str) -> np.ndarray:
+    """`combine_values` floored at zero and made nondecreasing across levels."""
+    q = combine_values(values, weights, method)
+    return np.maximum.accumulate(np.maximum(q, 0.0), axis=-1)
+
+
 def combine(forecasts: Mapping[str, QuantileForecast], w: WeightVector,
             method: str = "median", model_id: str = "ensemble") -> QuantileForecast:
     """Combine component forecasts level by level into one ensemble forecast.
@@ -128,8 +134,7 @@ def combine(forecasts: Mapping[str, QuantileForecast], w: WeightVector,
             raise DataError("component forecast keys do not match")
     values = np.array([f.values for _, f in items])
     weights = np.array([w[m] for m, _ in items])
-    out = combine_values(values, weights, method)
-    out = np.maximum.accumulate(np.maximum(out, 0.0))
+    out = _emit(values, weights, method)
     key = ForecastKey(model_id, first.key.location, first.key.forecast_date,
                       first.key.target_end_date)
     return QuantileForecast(key, first.levels, tuple(float(v) for v in out))

@@ -100,15 +100,6 @@ class QuantileLevelSet:
     def K(self) -> int:
         return len(self.levels)
 
-    def central_interval(self, coverage: float) -> tuple[float, float]:
-        """Lower/upper levels of the central interval with the given coverage."""
-        lo = round((1.0 - coverage) / 2.0, 10)
-        hi = round(1.0 - lo, 10)
-        rounded = [round(t, 10) for t in self.levels]
-        if lo not in rounded or hi not in rounded:
-            raise ValidationError(f"levels for {coverage:.0%} central interval not present")
-        return lo, hi
-
     @classmethod
     def seven(cls) -> "QuantileLevelSet":
         return cls((0.025, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975))

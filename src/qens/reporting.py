@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import (AnomalyRecord, detect_peaks, load_anomalies,
                        revision_exclusion_set, save_peaks)
 from .baseline import baseline_forecast
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types
 from .forecast import (WEEK, QuantileForecast, QuantileLevelSet,
                        SubmissionSet, TruthStore, _output_errors, _write_csv,
                        load_forecasts, load_truth_dir, save_forecasts)
@@ -47,6 +47,7 @@ class RunConfig:
     baseline_seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.specs:
             raise ConfigError("run config needs at least one ensemble spec")
         names = [s.name for s in self.specs]
@@ -79,15 +80,6 @@ class RunConfig:
                       else QuantileLevelSet(tuple(lv)))
         except (TypeError, DataError) as e:
             raise ConfigError(f"bad levels {lv!r}: {e}") from None
-        seed = data.get("baseline_seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"baseline_seed must be an integer, got {seed!r}")
-        flag = data.get("apply_exclusions", False)
-        if not isinstance(flag, bool):
-            raise ConfigError(f"apply_exclusions must be true or false, got {flag!r}")
-        baseline = data.get("baseline_model", "baseline")
-        if not isinstance(baseline, str):
-            raise ConfigError(f"baseline_model must be a string, got {baseline!r}")
         for key in ("forecast_dir", "truth_dir", "output_dir"):
             if key not in data:
                 raise ConfigError(f"run config missing {key!r}")
@@ -97,12 +89,12 @@ class RunConfig:
             output_dir=path_of("output_dir"),
             specs=specs,
             levels=levels,
-            baseline_model=baseline,
+            baseline_model=data.get("baseline_model", "baseline"),
             reference_spec=data.get("reference_spec"),
             prospective_start=_opt_date(data.get("prospective_start")),
             anomalies_file=path_of("anomalies_file"),
-            apply_exclusions=flag,
-            baseline_seed=seed,
+            apply_exclusions=data.get("apply_exclusions", False),
+            baseline_seed=data.get("baseline_seed", 0),
         )
 
 
@@ -231,25 +223,23 @@ def run(config: RunConfig) -> Path:
         ensembles.merge(ens)
         weight_rows.extend(wlog)
 
-    scored = SubmissionSet()
-    scored.merge(subs)
-    scored.merge(ensembles)
     save_forecasts(ensembles, out / "ensemble_forecasts.csv")
+    subs.merge(ensembles)  # from here on, components and ensembles alike
 
     exclusions = None
     if config.apply_exclusions and anomalies:
-        exclusions = revision_exclusion_set(anomalies, scored.forecasts.keys(), truth)
-    records = score_submissions(scored, truth, exclusions)
+        exclusions = revision_exclusion_set(anomalies, subs.forecasts.keys(), truth)
+    records = score_submissions(subs, truth, exclusions)
 
     _write_scores(records, config, out / "scores.csv")
     rel = relative_wis(score_table(records), config.baseline_model)
     save_rel_wis(rel, out / "rwis.csv")
-    save_coverage(scored, truth, out / "coverage.csv")
+    save_coverage(subs, truth, out / "coverage.csv")
     save_weight_log(weight_rows, out / "weights.csv")
     reference = config.reference_spec or _default_reference(config.specs)
     _write_wis_differences(records, reference, config, out / "wis_diff.csv")
-    peaks = _write_peaks(truth, scored, out / "peaks.csv")
-    _write_peak_errors(scored, truth, peaks, out / "peak_errors.csv")
+    peaks = _write_peaks(truth, subs, out / "peaks.csv")
+    _write_peak_errors(subs, truth, peaks, out / "peak_errors.csv")
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import AnomalyRecord
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types
 from .forecast import (HORIZONS, WEEK, ForecastKey, QuantileForecast,
                        QuantileLevelSet, SubmissionSet, TruthStore)
 
@@ -53,6 +53,7 @@ class ComponentProfile:
     missing_prob: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         for p in (self.outlier_prob, self.missing_prob):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError("probabilities must lie in [0, 1]")
@@ -90,6 +91,7 @@ class SimSpec:
     min_window_margin: int = 10
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_weeks < self.min_window_margin:
             raise ConfigError("n_weeks too small for a meaningful run")
         if not 0.0 <= self.revision_prob <= 1.0:

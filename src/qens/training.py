@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combine import WeightVector, combine_values
-from .errors import ConfigError, DataError
+from .combine import WeightVector, _emit
+from .errors import ConfigError, DataError, check_field_types
 from .forecast import (HORIZONS, WEEK, ForecastKey, QuantileForecast,
                        QuantileLevelSet, SubmissionSet, TruthStore,
                        eligible_components)
@@ -70,14 +70,7 @@ class EnsembleSpec:
     rwis_aggregation: str = "geometric"
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ConfigError(f"ensemble spec name must be a string, got {self.name!r}")
-        for name, kinds, what in (("top_k", (int, type(None)), "an integer or null"),
-                                  ("window_weeks", (int, type(None)), "an integer or null"),
-                                  ("max_weight", (int, float), "a number")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        check_field_types(self)
         if self.combiner not in COMBINERS:
             raise ConfigError(f"unknown combiner {self.combiner!r}")
         if self.weighting not in WEIGHTINGS:
@@ -143,33 +136,40 @@ class TrainingWindow:
     levels: QuantileLevelSet
 
 
-def build_training_window(subs: SubmissionSet, truth: TruthStore, s: dt.date,
-                          window_dates: Sequence[dt.date],
-                          levels: QuantileLevelSet) -> TrainingWindow:
-    """Scorable training units for a forecast date, using truth as of s.
-
-    Only targets observed by s enter; targets with negative reported values
-    are excluded from scoring per the evaluation convention.
-    """
-    snapshot = truth.snapshot(s)
+def _records(subs: SubmissionSet, observed: Mapping[tuple[str, dt.date], float],
+             dates: Sequence[dt.date], levels: QuantileLevelSet,
+             until: dt.date | None = None) -> list[WindowRecord]:
+    """Scorable units of the forecasts issued on `dates` against `observed` truth;
+    targets after `until`, unobserved or negative (excluded from scoring per
+    the evaluation convention) do not enter."""
     records: list[WindowRecord] = []
-    for r in sorted(window_dates):
-        if r >= s:
-            raise DataError(f"window date {r} is not before the forecast date {s}")
+    for r in sorted(dates):
         for loc in subs.locations_on(r):
             models = eligible_components(subs, loc, r, levels, require_history=False)
             if not models:
                 continue
             for h in HORIZONS:
                 t = r + h * WEEK
-                if t > s:
+                if until is not None and t > until:
                     continue
-                y = snapshot.get((loc, t))
+                y = observed.get((loc, t))
                 if y is None or y < 0:
                     continue
                 values = {m: subs.get(m, loc, r, t).values for m in models}
                 records.append(WindowRecord(loc, r, t, h, y, values))
-    return TrainingWindow(records, levels)
+    return records
+
+
+def build_training_window(subs: SubmissionSet, truth: TruthStore, s: dt.date,
+                          window_dates: Sequence[dt.date],
+                          levels: QuantileLevelSet) -> TrainingWindow:
+    """Scorable training units for a forecast date: only targets observed by s,
+    in the truth snapshot available at s, enter."""
+    for r in window_dates:
+        if r >= s:
+            raise DataError(f"window date {r} is not before the forecast date {s}")
+    return TrainingWindow(_records(subs, truth.snapshot(s), window_dates, levels, until=s),
+                          levels)
 
 
 def window_score_table(records: Sequence[WindowRecord], levels: QuantileLevelSet,
@@ -238,8 +238,7 @@ def window_objective(records: Sequence[WindowRecord], models: Sequence[str],
         live = w.any(axis=1)
         if live.any():
             values = np.array([rec.values[m] for m in ms])[:, :stop]
-            q = combine_values(values, w[live, :, None], combiner)
-            q = np.maximum.accumulate(np.maximum(q, 0.0), axis=-1)
+            q = _emit(values, w[live, :, None], combiner)
             terms = wis_terms(levels.levels[:stop], q, rec.y)
             totals[live] += terms.mean(axis=-1) if level_index is None else terms[:, level_index]
     return totals
@@ -404,28 +403,6 @@ def _simplex_pinball(A: np.ndarray, y: np.ndarray, tau: np.ndarray) -> np.ndarra
     return w / w.sum()
 
 
-def post_hoc_records(subs: SubmissionSet, truth: TruthStore, s: dt.date,
-                     levels: QuantileLevelSet) -> list[WindowRecord]:
-    """Scorable units for a single forecast date against realized truth."""
-    final = truth.latest()
-    records: list[WindowRecord] = []
-    for loc in subs.locations_on(s):
-        models = eligible_components(subs, loc, s, levels, require_history=False)
-        if not models:
-            continue
-        for h in HORIZONS:
-            t = s + h * WEEK
-            y = final.get((loc, t))
-            if y is None:
-                raise DataError(
-                    f"post hoc weights need observed truth for {loc} {t}")
-            if y < 0:
-                continue
-            values = {m: subs.get(m, loc, s, t).values for m in models}
-            records.append(WindowRecord(loc, s, t, h, y, values))
-    return records
-
-
 def _strata(spec: EnsembleSpec, levels: QuantileLevelSet) -> list[tuple[str, int | None, int | None]]:
     """(label, horizon filter, level index) triples for the sharing mode."""
     if spec.sharing == "per_horizon":
@@ -435,15 +412,14 @@ def _strata(spec: EnsembleSpec, levels: QuantileLevelSet) -> list[tuple[str, int
     return [("", None, None)]
 
 
-def _stratum_weights(subs: SubmissionSet, truth: TruthStore, s: dt.date,
-                     spec: EnsembleSpec, levels: QuantileLevelSet,
-                     all_eligible: list[str], baseline_model: str,
-                     grid: ThetaGrid) -> dict[str, tuple[WeightVector, float | None]]:
-    """Estimated (pre-missingness) weights per stratum for forecast date s."""
-    fallback = {label: (WeightVector.uniform(all_eligible), None)
-                for label, _, _ in _strata(spec, levels)}
+def _stratum_weights(subs: SubmissionSet, truth: TruthStore, s: dt.date, spec: EnsembleSpec,
+                     strata: list, levels: QuantileLevelSet, all_eligible: list[str],
+                     baseline_model: str, grid: ThetaGrid) -> list[tuple[WeightVector, float | None]]:
+    """Estimated (pre-missingness) weights and theta for forecast date s, one
+    pair per entry of `strata` (from `_strata`), in order."""
+    equal = (WeightVector.uniform(all_eligible), None)
     if not spec.trained:
-        return fallback
+        return [equal] * len(strata)
 
     hist_dates = [d for d in subs.forecast_dates() if d < s]
     if spec.window_weeks is not None:
@@ -451,48 +427,47 @@ def _stratum_weights(subs: SubmissionSet, truth: TruthStore, s: dt.date,
     if not hist_dates:
         log.warning("%s %s: no training history; falling back to equal weights",
                     spec.name, s)
-        return fallback
+        return [equal] * len(strata)
     window = build_training_window(subs, truth, s, hist_dates, levels)
     if not window.records:
         log.warning("%s %s: no scorable training records; falling back to equal weights",
                     spec.name, s)
-        return fallback
+        return [equal] * len(strata)
+    # post hoc weights fit on date s itself, against realized truth
+    post_hoc = _records(subs, truth.latest(), [s], levels) if spec.weighting == "post_hoc" else []
 
-    out: dict[str, tuple[WeightVector, float | None]] = {}
-    for label, horizon, level_index in _strata(spec, levels):
+    out: list[tuple[WeightVector, float | None]] = []
+    for label, horizon, level_index in strata:
         records = [r for r in window.records
                    if horizon is None or r.horizon == horizon]
-        sub_window = TrainingWindow(records, levels)
         table = window_score_table(records, levels, level_index=level_index)
         if baseline_model not in table:
             log.warning("%s %s [%s]: baseline unscored in window; equal weights",
                         spec.name, s, label)
-            out[label] = (WeightVector.uniform(all_eligible), None)
+            out.append(equal)
             continue
         rel = relative_wis(table, baseline_model, spec.rwis_aggregation)
         candidates = [m for m in all_eligible if m in rel.rel_wis]
         if not candidates:
             log.warning("%s %s [%s]: no scored eligible components; equal weights",
                         spec.name, s, label)
-            out[label] = (WeightVector.uniform(all_eligible), None)
+            out.append(equal)
             continue
         rwis = {m: rel.rel_wis[m] for m in candidates}
         selected = select_top_k(rwis, spec.top_k) if spec.top_k else sorted(candidates)
-        rwis_sel = {m: rwis[m] for m in selected}
 
         if spec.weighting == "equal":
-            out[label] = (WeightVector.uniform(selected), None)
+            out.append((WeightVector.uniform(selected), None))
         elif spec.weighting == "rel_wis_sigmoid":
-            theta, w = fit_theta(sub_window, rwis_sel, spec, grid,
+            theta, w = fit_theta(TrainingWindow(records, levels),
+                                 {m: rwis[m] for m in selected}, spec, grid,
                                  level_index=level_index)
-            out[label] = (w, theta)
-        elif spec.weighting == "convex_direct":
-            w = convex_weights(records, selected, levels, level_index=level_index)
-            out[label] = (w, None)
-        else:  # post_hoc: weights fit on date s itself with realized truth
-            w = convex_weights(post_hoc_records(subs, truth, s, levels), selected,
-                               levels, level_index=level_index)
-            out[label] = (w, None)
+            out.append((w, theta))
+        else:
+            if spec.weighting == "post_hoc":
+                records = [r for r in post_hoc if horizon is None or r.horizon == horizon]
+            out.append((convex_weights(records, selected, levels, level_index=level_index),
+                        None))
     return out
 
 
@@ -511,6 +486,7 @@ def train_and_forecast(subs: SubmissionSet, truth: TruthStore, spec: EnsembleSpe
     ensemble forecasts plus a weight log with one row per (date, stratum, model).
     """
     grid = grid or default_theta_grid()
+    strata = _strata(spec, levels)
     dates = sorted(dates)
     if spec.weighting == "post_hoc":
         final, locations = truth.latest(), subs.locations()
@@ -529,49 +505,36 @@ def train_and_forecast(subs: SubmissionSet, truth: TruthStore, spec: EnsembleSpe
             log.warning("%s %s: no eligible components; skipping date", spec.name, s)
             continue
 
-        by_stratum = _stratum_weights(subs, truth, s, spec, levels,
+        by_stratum = _stratum_weights(subs, truth, s, spec, strata, levels,
                                       all_eligible, baseline_model, grid)
-        for label, _, _ in _strata(spec, levels):
-            w, theta = by_stratum[label]
+        # weights[h - 1, i, k]: model all_eligible[i] at horizon h and level k
+        weights = np.zeros((len(HORIZONS), len(all_eligible), levels.K))
+        for (label, horizon, level_index), (w, theta) in zip(strata, by_stratum):
             for m in w.models():
                 weight_log.append({
                     "forecast_date": s, "stratum": label, "model": m,
                     "weight": w[m], "theta": theta, "spec_id": spec.name,
                 })
+            hs = slice(None) if horizon is None else slice(horizon - 1, horizon)
+            ks = slice(None) if level_index is None else slice(level_index, level_index + 1)
+            weights[hs, :, ks] = np.array([w.weights.get(m, 0.0) for m in all_eligible])[:, None]
 
+        row = {m: i for i, m in enumerate(all_eligible)}
         for loc in locations:
             avail = elig[loc]
             if not avail:
                 log.warning("%s %s %s: no eligible components; cell skipped",
                             spec.name, s, loc)
                 continue
+            cell_weights = weights[:, [row[m] for m in avail]]
             for h in HORIZONS:
-                t = s + h * WEEK
-                forecast = _emit_cell(subs, spec, levels, by_stratum, avail,
-                                      loc, s, t, h)
-                if forecast is not None:
-                    out.add(forecast)
-                else:
+                if not cell_weights[h - 1].any(axis=0).all():
                     log.warning("%s %s %s h%d: no weighted components; cell skipped",
                                 spec.name, s, loc, h)
+                    continue
+                t = s + h * WEEK
+                values = np.array([subs.get(m, loc, s, t).values for m in avail])
+                q = _emit(values, cell_weights[h - 1], spec.combiner)
+                out.add(QuantileForecast(ForecastKey(spec.name, loc, s, t), levels,
+                                         tuple(q.tolist())))
     return out, weight_log
-
-
-def _emit_cell(subs: SubmissionSet, spec: EnsembleSpec, levels: QuantileLevelSet,
-               by_stratum: Mapping[str, tuple[WeightVector, float | None]],
-               avail: Sequence[str], loc: str, s: dt.date, t: dt.date,
-               h: int) -> QuantileForecast | None:
-    """One ensemble forecast, or None when some level has no weighted component."""
-    if spec.sharing == "per_quantile":
-        strata = [by_stratum[f"q{tau:g}"][0] for tau in levels.levels]
-        weights = np.array([[w.weights.get(m, 0.0) for w in strata] for m in avail])
-    else:
-        w, _ = by_stratum[f"h{h}" if spec.sharing == "per_horizon" else ""]
-        weights = np.array([w.weights.get(m, 0.0) for m in avail])
-    if not weights.any(axis=0).all():
-        return None
-    values = np.array([subs.get(m, loc, s, t).values for m in avail])
-    q = combine_values(values, weights, spec.combiner)
-    q = np.maximum.accumulate(np.maximum(q, 0.0))
-    key = ForecastKey(spec.name, loc, s, t)
-    return QuantileForecast(key, levels, tuple(float(v) for v in q))

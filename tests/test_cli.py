@@ -452,6 +452,20 @@ class TestBadInputExitCodes:
         assert run_cli("simulate", "--config", str(config),
                        "--out", str(tmp_path / "data")) == 2
 
+    @pytest.mark.parametrize("spec, field", [
+        ({"n_locations": "3", "components": [{"name": "c"}]}, "n_locations"),
+        ({"sigma": "x", "components": [{"name": "c"}]}, "sigma"),
+        ({"components": [{"name": "c", "bias": "x"}]}, "bias"),
+    ], ids=["string_n_locations", "string_sigma", "string_component_bias"])
+    def test_mistyped_simulation_field_is_config_error(self, tmp_path, capsys,
+                                                       spec, field):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(spec))
+        assert run_cli("simulate", "--config", str(config),
+                       "--out", str(tmp_path / "data")) == 2
+        assert f"config error: {field} must be " in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_array_spec_is_config_error(self, sim_dir, tmp_path):
         config = tmp_path / "spec.json"
         config.write_text(json.dumps([{"name": "ens"}]))

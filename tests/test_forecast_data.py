@@ -36,12 +36,6 @@ class TestQuantileLevelSet:
         with pytest.raises(ValidationError):
             QuantileLevelSet((0.5, 1.0))
 
-    def test_central_interval(self):
-        lo, hi = QuantileLevelSet.seven().central_interval(0.95)
-        assert (lo, hi) == (0.025, 0.975)
-        lo, hi = QuantileLevelSet.seven().central_interval(0.5)
-        assert (lo, hi) == (0.25, 0.75)
-
     def test_twenty_three_is_symmetric(self):
         levels = QuantileLevelSet.twenty_three().levels
         for tau in levels:

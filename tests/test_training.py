@@ -1,5 +1,6 @@
 """Weight estimation, temperature search, and the rolling backtest."""
 
+import logging
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from qens import training
 from qens.forecast import WEEK
 from qens.scoring import wis_terms
 from qens.training import (ThetaGrid, TrainingWindow, WindowRecord,
-                           post_hoc_records, window_score_table)
+                           window_score_table)
 
 from conftest import (make_forecast, oracle_convex_weights, sat,
                       submission_set)
@@ -537,13 +538,35 @@ class TestTrainAndForecast:
     def test_post_hoc_beats_components_on_its_week(self, three):
         subs, truth = backtest_inputs(three)
         s = subs.forecast_dates()[5]
-        records = post_hoc_records(subs, truth, s, three)
+        records = training._records(subs, truth.latest(), [s], three)
+        assert {r.forecast_date for r in records} == {s} and len(records) == 4
         models = ["a", "b", "baseline", "c"]
         w = convex_weights(records, models, three)
         opt = _mean_objective(records, models, dict(w.weights), three)
         for m in models:
             vertex = {n: 1.0 if n == m else 0.0 for n in models}
             assert opt <= _mean_objective(records, models, vertex, three) + 1e-9
+
+    def test_post_hoc_per_horizon_fits_each_horizon(self, three):
+        subs, truth = backtest_inputs(three)
+        dates = subs.forecast_dates()[4:]  # every stratum has scored history
+        spec = EnsembleSpec(name="ph", combiner="mean", weighting="post_hoc",
+                            sharing="per_horizon")
+        _, log_rows = train_and_forecast(subs, truth, spec, dates, three)
+        final = truth.latest()
+        by_stratum = {}
+        for r in log_rows:
+            by_stratum.setdefault((r["forecast_date"], r["stratum"]), {})[r["model"]] = r["weight"]
+        assert {s for s, _ in by_stratum} == set(dates)
+        for (s, label), logged in by_stratum.items():
+            h = int(label[1:])
+            t = s + h * WEEK
+            record = WindowRecord("loc", s, t, h, final[("loc", t)],
+                                  {m: subs.get(m, "loc", s, t).values for m in logged})
+            expected = convex_weights([record], sorted(logged), three)
+            assert {m: w.hex() for m, w in logged.items()} == \
+                {m: expected[m].hex() for m in logged}
+        assert any(by_stratum[(s, "h1")] != by_stratum[(s, "h4")] for s in dates)
 
 
 def emitted_cells(subs, spec, out, levels):
@@ -621,3 +644,39 @@ class TestEmissionMatchesKernel:
                                "mean")
             q = np.maximum.accumulate(np.maximum(q, 0.0))
             assert q.tobytes() == np.array(f.values).tobytes()
+
+    @pytest.mark.parametrize("combiner", ["mean", "median"])
+    def test_per_horizon_cells_use_their_horizons_weights(self, three, combiner):
+        subs, truth = backtest_inputs(three)
+        spec = EnsembleSpec(name="ph", combiner=combiner, weighting="rel_wis_sigmoid",
+                            window_weeks=4, sharing="per_horizon")
+        out, log_rows = train_and_forecast(subs, truth, spec,
+                                           subs.forecast_dates(), three)
+        by_stratum = {}
+        for r in log_rows:
+            by_stratum.setdefault((r["forecast_date"], r["stratum"]), {})[r["model"]] = r["weight"]
+        assert any(by_stratum[(s, "h1")] != by_stratum[(s, "h4")]
+                   for s, _ in by_stratum)
+        assert out.forecasts
+        for f, avail, values in emitted_cells(subs, spec, out, three):
+            w = by_stratum[(f.key.forecast_date, f"h{f.key.horizon}")]
+            q = combine_values(values, np.array([w.get(m, 0.0) for m in avail]),
+                               combiner)
+            q = np.maximum.accumulate(np.maximum(q, 0.0))
+            assert q.tobytes() == np.array(f.values).tobytes()
+
+    def test_cell_without_weighted_components_is_skipped(self, three, caplog):
+        subs, truth = backtest_inputs(three)
+        for s in subs.forecast_dates():  # a location only b and c forecast
+            for m in ("b", "c"):
+                for h in (1, 2, 3, 4):
+                    subs.add(make_forecast(m, "far", s, h, three, [1.0, 2.0, 3.0]))
+        spec = EnsembleSpec(name="top1", weighting="equal", top_k=1, window_weeks=4)
+        s = subs.forecast_dates()[5]
+        with caplog.at_level(logging.WARNING, logger="qens.training"):
+            out, log_rows = train_and_forecast(subs, truth, spec, [s], three)
+        assert {r["model"]: r["weight"] for r in log_rows} == {"a": 1.0}
+        assert {k.location for k in out.forecasts} == {"loc"}
+        assert len(out) == 4
+        for h in (1, 2, 3, 4):
+            assert f"top1 {s} far h{h}: no weighted components; cell skipped" in caplog.messages
